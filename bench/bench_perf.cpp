@@ -29,10 +29,12 @@
 #include <thread>
 #include <vector>
 
+#include "core/benchmarks/error_correction.hpp"
 #include "core/benchmarks/ghz.hpp"
 #include "core/benchmarks/mermin_bell.hpp"
 #include "core/coverage.hpp"
 #include "core/features.hpp"
+#include "core/harness.hpp"
 #include "core/benchmarks/qaoa.hpp"
 #include "core/suites.hpp"
 #include "device/device.hpp"
@@ -433,6 +435,24 @@ perfHarness(int argc, char **argv)
                benchmark::DoNotOptimize(
                    sim::run(ghz.circuits()[0], ro, rng));
            }));
+    {
+        // bit_code_6d2r as the Fig. 2 grid runs it on IBM-Montreal: 11
+        // qubits with mid-circuit measure and reset, one trajectory
+        // per shot, 8 lanes a batch (ghz14 above runs one lane).
+        const core::BitCodeBenchmark code =
+            core::BitCodeBenchmark::alternating(6, 2);
+        const device::Device montreal = device::ibmMontreal();
+        const core::PreparedCircuits prepared =
+            core::prepareCircuits(code, montreal, core::HarnessOptions{});
+        record("trajectories_bitcode11_midcircuit_500shots", timeIt([&] {
+                   sim::RunOptions ro;
+                   ro.shots = 500;
+                   ro.noise = montreal.noise;
+                   stats::Rng rng(7);
+                   benchmark::DoNotOptimize(
+                       sim::run(prepared.circuits[0], ro, rng));
+               }));
+    }
 
     // Observability overhead: the same trajectory workload with the
     // metric registry off, then on. The instrumented sites in the

@@ -49,6 +49,8 @@ inline constexpr const char *kSimSvGateApplies = "sim.sv.gate_applies";
 inline constexpr const char *kSimDmGateApplies = "sim.dm.gate_applies";
 inline constexpr const char *kSimShots = "sim.shots";
 inline constexpr const char *kSimTrajectories = "sim.trajectories";
+inline constexpr const char *kSimTrajectoryBatches =
+    "sim.trajectory.batches";
 
 // --- counters: backend planner (sim/planner.*, sim/runner.cpp) -------
 // One bump per dispatched circuit execution, keyed by the engine the

@@ -8,6 +8,7 @@
 #include "obs/names.hpp"
 #include "qc/schedule.hpp"
 #include "sim/density_matrix.hpp"
+#include "sim/kernels.hpp"
 #include "sim/memory.hpp"
 #include "sim/planner.hpp"
 #include "sim/stabilizer.hpp"
@@ -17,15 +18,6 @@
 namespace smq::sim {
 
 namespace {
-
-/** One stochastic trajectory through a circuit body. */
-inline void
-countTrajectory()
-{
-    static obs::Counter &trajectories =
-        obs::counter(obs::names::kSimTrajectories);
-    trajectories.add();
-}
 
 /** Bump the sim.plan.* counter for one dispatched circuit. */
 void
@@ -54,30 +46,44 @@ countPlan(const Plan &plan, bool forced)
         obs::counter(obs::names::kSimPlanOverridden).add();
 }
 
-/** Random non-identity Pauli on one qubit. */
-void
-applyRandomPauli(StateVector &state, std::size_t q, stats::Rng &rng)
+/** A trajectory batch holds at most this many lanes. */
+constexpr std::size_t kMaxLanes = 16;
+
+/**
+ * Lanes per batch at @p width: at most kMaxLanes, which bounds the
+ * per-lane rng state, and lanes x 2^width <= kReduceGrain, which keeps
+ * a batch small and each lane's P(1) one reduce chunk. Widths >= 14
+ * run one lane.
+ */
+std::size_t
+laneCap(std::size_t width)
 {
-    static const qc::GateType paulis[3] = {qc::GateType::X, qc::GateType::Y,
-                                           qc::GateType::Z};
-    qc::GateType type = paulis[rng.index(3)];
-    state.applyGate(qc::Gate(type, {static_cast<qc::Qubit>(q)}));
+    const std::size_t fit = width < 64 ? kernels::kReduceGrain >> width : 0;
+    return std::clamp<std::size_t>(fit, 1, kMaxLanes);
 }
 
-/** Random non-identity two-qubit Pauli (uniform over the 15). */
+/** Count one batch of @p lanes stochastic trajectories. */
 void
-applyRandomPauli2(StateVector &state, std::size_t qa, std::size_t qb,
-                  stats::Rng &rng)
+countBatch(std::size_t lanes)
 {
-    std::size_t choice = rng.index(15) + 1; // 1..15, base-4 digits (pa, pb)
-    std::size_t pa = choice / 4;
-    std::size_t pb = choice % 4;
-    static const qc::GateType paulis[4] = {qc::GateType::I, qc::GateType::X,
-                                           qc::GateType::Y, qc::GateType::Z};
-    if (pa != 0)
-        state.applyGate(qc::Gate(paulis[pa], {static_cast<qc::Qubit>(qa)}));
-    if (pb != 0)
-        state.applyGate(qc::Gate(paulis[pb], {static_cast<qc::Qubit>(qb)}));
+    static obs::Counter &trajectories =
+        obs::counter(obs::names::kSimTrajectories);
+    static obs::Counter &batches =
+        obs::counter(obs::names::kSimTrajectoryBatches);
+    trajectories.add(lanes);
+    batches.add();
+}
+
+/** Pauli k of (I, X, Y, Z) as a matrix; nullptr for the identity. */
+const Matrix2 *
+pauli(std::size_t k)
+{
+    static const Matrix2 paulis[3] = {
+        gateMatrix1(qc::Gate(qc::GateType::X, {0})),
+        gateMatrix1(qc::Gate(qc::GateType::Y, {0})),
+        gateMatrix1(qc::Gate(qc::GateType::Z, {0})),
+    };
+    return k == 0 ? nullptr : &paulis[k - 1];
 }
 
 double
@@ -92,76 +98,170 @@ gateDuration(const qc::Gate &gate, const NoiseModel &noise)
     return noise.time1q;
 }
 
-/** Apply idle thermal relaxation to one qubit for dt microseconds. */
-void
-applyIdleNoise(StateVector &state, std::size_t q, double dt,
-               const NoiseModel &noise, stats::Rng &rng)
+/**
+ * Draw one lane's idle thermal relaxation on a qubit whose P(1) is
+ * @p p1 (read only when idle.damp > 0): amplitude damping as an exact
+ * jump/no-jump unravelling, then a Pauli-twirled dephasing flip.
+ */
+Relaxation
+drawRelaxation(const IdleChannel &idle, double p1, stats::Rng &rng)
 {
-    const IdleChannel idle = noise.idleChannel(dt);
-    state.thermalRelaxationTrajectory(q, idle.damp, idle.dephase, rng);
+    Relaxation ev;
+    if (idle.damp > 0.0 && p1 > 0.0) {
+        if (rng.bernoulli(idle.damp * p1)) {
+            // jump |1> -> |0>, renormalised by sqrt(p1)
+            ev.damping = Relaxation::Damping::Jump;
+            ev.keep1 = 1.0 / std::sqrt(p1);
+        } else {
+            // no-jump Kraus diag(1, sqrt(1 - damp)), renormalised by
+            // the branch probability sqrt(1 - damp * p1)
+            const double renorm = std::sqrt(1.0 - idle.damp * p1);
+            ev.damping = Relaxation::Damping::Decay;
+            ev.keep0 = 1.0 / renorm;
+            ev.keep1 = std::sqrt(1.0 - idle.damp) / renorm;
+        }
+    }
+    ev.dephase = idle.dephase > 0.0 && rng.bernoulli(idle.dephase);
+    return ev;
 }
 
-/** One trajectory through the full circuit, writing classical bits. */
-std::string
-runTrajectory(const qc::Circuit &circuit, const qc::Schedule &sched,
-              const NoiseModel &noise, stats::Rng &rng, StateVector &state)
+/**
+ * One batch of lockstep trajectories through a scheduled circuit.
+ * Lane l runs the trajectory whose stream is rngs[l]: each of its
+ * stochastic events is drawn from rngs[l] in the order a lone
+ * trajectory draws it and applied only to the lanes it hits, so every
+ * lane reproduces its lone trajectory exactly. Every circuit step is
+ * one kernel over all lanes.
+ */
+class LaneBatch
 {
-    state.resetToZero();
-    std::string clbits(circuit.numClbits(), '0');
-    const auto &gates = circuit.gates();
+  public:
+    LaneBatch(const qc::Circuit &circuit, const NoiseModel &noise,
+              StateLanes &state)
+        : circuit_(circuit), sched_(qc::schedule(circuit)), noise_(noise),
+          state_(state)
+    {
+    }
 
-    // Hoisted out of the moment loop: one allocation per trajectory,
-    // not one per moment.
-    std::vector<bool> active(circuit.numQubits(), false);
-    for (const auto &moment : sched.moments) {
-        double duration = 0.0;
-        active.assign(circuit.numQubits(), false);
-        for (std::size_t idx : moment) {
-            const qc::Gate &g = gates[idx];
-            if (noise.enabled)
-                duration = std::max(duration, gateDuration(g, noise));
-            for (qc::Qubit q : g.qubits)
-                active[q] = true;
+    /** Run one lane per stream of @p rngs; clbits()[l] is lane l's. */
+    void
+    run(std::vector<stats::Rng> &rngs)
+    {
+        const std::size_t lanes = rngs.size();
+        state_.resetToZero(lanes);
+        clbits_.assign(lanes, std::string(circuit_.numClbits(), '0'));
+        p1_.assign(lanes, 0.0);
+        outcome_.assign(lanes, 0);
+        first_.assign(lanes, nullptr);
+        second_.assign(lanes, nullptr);
+        relax_.assign(lanes, Relaxation{});
 
-            switch (g.type) {
-              case qc::GateType::MEASURE: {
-                int outcome = state.measure(g.qubits[0], rng);
-                if (noise.enabled && rng.bernoulli(noise.pMeas))
-                    outcome ^= 1;
-                clbits[static_cast<std::size_t>(g.cbit)] =
-                    outcome ? '1' : '0';
-                break;
-              }
-              case qc::GateType::RESET:
-                state.reset(g.qubits[0], rng);
-                if (noise.enabled && rng.bernoulli(noise.pReset)) {
-                    state.applyGate(qc::Gate(qc::GateType::X,
-                                             {g.qubits[0]}));
-                }
-                break;
-              default:
-                state.applyGate(g);
-                if (noise.enabled) {
-                    if (g.qubits.size() == 1 && rng.bernoulli(noise.p1)) {
-                        applyRandomPauli(state, g.qubits[0], rng);
-                    } else if (g.qubits.size() >= 2 &&
-                               rng.bernoulli(noise.p2)) {
-                        applyRandomPauli2(state, g.qubits[0], g.qubits[1],
-                                          rng);
-                    }
-                }
-                break;
+        const std::size_t width = circuit_.numQubits();
+        std::vector<bool> active(width, false);
+        for (const auto &moment : sched_.moments) {
+            double duration = 0.0;
+            active.assign(width, false);
+            for (std::size_t idx : moment) {
+                const qc::Gate &g = circuit_.gates()[idx];
+                if (noise_.enabled)
+                    duration = std::max(duration, gateDuration(g, noise_));
+                for (qc::Qubit q : g.qubits)
+                    active[q] = true;
+                step(g, rngs);
             }
-        }
-        if (noise.enabled && duration > 0.0) {
-            for (std::size_t q = 0; q < circuit.numQubits(); ++q) {
-                if (!active[q])
-                    applyIdleNoise(state, q, duration, noise, rng);
+            if (!noise_.enabled || duration <= 0.0)
+                continue;
+            const IdleChannel idle = noise_.idleChannel(duration);
+            for (std::size_t q = 0; q < width; ++q) {
+                if (active[q])
+                    continue;
+                if (idle.damp > 0.0)
+                    state_.probabilitiesOfOne(q, p1_);
+                for (std::size_t l = 0; l < lanes; ++l)
+                    relax_[l] = drawRelaxation(idle, p1_[l], rngs[l]);
+                state_.relax(q, relax_);
             }
         }
     }
-    return clbits;
-}
+
+    const std::vector<std::string> &clbits() const { return clbits_; }
+
+  private:
+    /** One instruction on every lane, with its per-lane noise. */
+    void
+    step(const qc::Gate &g, std::vector<stats::Rng> &rngs)
+    {
+        const std::size_t lanes = rngs.size();
+        switch (g.type) {
+          case qc::GateType::MEASURE:
+            state_.probabilitiesOfOne(g.qubits[0], p1_);
+            for (std::size_t l = 0; l < lanes; ++l) {
+                outcome_[l] = rngs[l].bernoulli(p1_[l]) ? 1 : 0;
+                const bool flip =
+                    noise_.enabled && rngs[l].bernoulli(noise_.pMeas);
+                clbits_[l][static_cast<std::size_t>(g.cbit)] =
+                    (outcome_[l] == 1) != flip ? '1' : '0';
+            }
+            state_.collapse(g.qubits[0], outcome_, p1_);
+            return;
+          case qc::GateType::RESET:
+            // Measure, flip a 1 back to |0>, then the residual
+            // excitation of an imperfect reset.
+            state_.probabilitiesOfOne(g.qubits[0], p1_);
+            for (std::size_t l = 0; l < lanes; ++l) {
+                outcome_[l] = rngs[l].bernoulli(p1_[l]) ? 1 : 0;
+                first_[l] = outcome_[l] == 1 ? pauli(1) : nullptr;
+                second_[l] = noise_.enabled &&
+                                     rngs[l].bernoulli(noise_.pReset)
+                                 ? pauli(1)
+                                 : nullptr;
+            }
+            state_.collapse(g.qubits[0], outcome_, p1_);
+            state_.applyPerLane(g.qubits[0], first_);
+            state_.applyPerLane(g.qubits[0], second_);
+            return;
+          default:
+            break;
+        }
+        state_.applyGate(g);
+        if (!noise_.enabled)
+            return;
+        if (g.qubits.size() == 1) {
+            // A random non-identity Pauli.
+            for (std::size_t l = 0; l < lanes; ++l) {
+                first_[l] = rngs[l].bernoulli(noise_.p1)
+                                ? pauli(1 + rngs[l].index(3))
+                                : nullptr;
+            }
+            state_.applyPerLane(g.qubits[0], first_);
+        } else if (g.qubits.size() >= 2) {
+            // Uniform over the 15 non-identity two-qubit Paulis, as
+            // base-4 digits (pa, pb) on the first two operands.
+            for (std::size_t l = 0; l < lanes; ++l) {
+                first_[l] = second_[l] = nullptr;
+                if (rngs[l].bernoulli(noise_.p2)) {
+                    const std::size_t choice = rngs[l].index(15) + 1;
+                    first_[l] = pauli(choice / 4);
+                    second_[l] = pauli(choice % 4);
+                }
+            }
+            state_.applyPerLane(g.qubits[0], first_);
+            state_.applyPerLane(g.qubits[1], second_);
+        }
+    }
+
+    const qc::Circuit &circuit_;
+    const qc::Schedule sched_;
+    const NoiseModel &noise_;
+    StateLanes &state_;
+    std::vector<std::string> clbits_;
+    // Per-lane working arrays, reused across steps.
+    std::vector<double> p1_;
+    std::vector<int> outcome_;
+    std::vector<const Matrix2 *> first_;
+    std::vector<const Matrix2 *> second_;
+    std::vector<Relaxation> relax_;
+};
 
 /** Index of the last MEASURE instruction. @pre measureCount() > 0. */
 std::size_t
@@ -247,89 +347,105 @@ runDensityMatrixSampling(const qc::Circuit &core,
     return sampleDistribution(dist, options, rng);
 }
 
+
 /**
- * Stochastic statevector trajectories. Mid-circuit collapse runs one
- * trajectory per shot over the full circuit; terminal circuits
- * amortise shotsPerTrajectory shots per trajectory by splitting at
- * the measurement boundary. Every trajectory draws from its own
- * stream derived with deriveTaskSeed from one base draw on the
- * caller's rng, so a hook-truncated histogram is an exact prefix of
- * the full run's and batching cannot smear randomness across
- * trajectory boundaries.
+ * Stochastic statevector trajectories, run in lockstep batches of up
+ * to laneCap(width) lanes. Mid-circuit collapse runs one trajectory
+ * per shot over the full circuit; terminal circuits amortise
+ * shotsPerTrajectory shots per trajectory by splitting at the
+ * measurement boundary. Trajectory t draws from its own stream
+ * deriveTaskSeed(base, t), base being one draw on the caller's rng,
+ * so a lane reproduces its lone trajectory whatever the batching, and
+ * a hook-truncated histogram is an exact prefix of the full run's.
  */
 stats::Counts
 runTrajectories(const qc::Circuit &circuit, const RunOptions &options,
                 stats::Rng &rng, bool mid_circuit)
 {
     const std::uint64_t base = rng.engine()();
-    stats::Counts counts;
 
-    if (mid_circuit) {
-        qc::Schedule sched = qc::schedule(circuit);
-        StateVector state(circuit.numQubits());
-        for (std::uint64_t s = 0; s < options.shots; ++s) {
-            if (options.faultHook && options.faultHook(s))
-                break;
-            countTrajectory();
-            stats::Rng shot_rng(util::deriveTaskSeed(base, s));
-            counts.add(runTrajectory(circuit, sched, options.noise,
-                                     shot_rng, state));
-        }
-        return counts;
-    }
-
-    // Terminal measurements: amortise several shots per stochastic
-    // trajectory. Measurement collapse order does not matter, so we
-    // split the circuit at the measurement boundary and sample the
-    // pre-measurement state repeatedly. The core excludes the
-    // non-operational tail — a trailing gate on a measured qubit must
-    // not perturb the sampled distribution.
-    const qc::Circuit core = terminalCore(circuit);
-    std::uint64_t per_traj = std::max<std::uint64_t>(
-        1, std::min(options.shotsPerTrajectory, options.shots));
-
+    // Terminal measurements: measurement collapse order does not
+    // matter, so the pre-measurement state of each trajectory is
+    // sampled repeatedly. The core excludes the non-operational tail —
+    // a trailing gate on a measured qubit must not perturb the sampled
+    // distribution.
+    std::uint64_t per_traj = 1;
     std::vector<std::ptrdiff_t> clbit_source(circuit.numClbits(), -1);
     qc::Circuit body(circuit.numQubits());
-    for (const qc::Gate &g : core.gates()) {
-        if (g.type == qc::GateType::MEASURE) {
-            clbit_source[static_cast<std::size_t>(g.cbit)] =
-                static_cast<std::ptrdiff_t>(g.qubits[0]);
-        } else {
-            body.append(g);
+    if (!mid_circuit) {
+        per_traj = std::max<std::uint64_t>(
+            1, std::min(options.shotsPerTrajectory, options.shots));
+        const qc::Circuit core = terminalCore(circuit);
+        for (const qc::Gate &g : core.gates()) {
+            if (g.type == qc::GateType::MEASURE) {
+                clbit_source[static_cast<std::size_t>(g.cbit)] =
+                    static_cast<std::ptrdiff_t>(g.qubits[0]);
+            } else {
+                body.append(g);
+            }
         }
     }
-    qc::Schedule body_sched = qc::schedule(body);
-    StateVector state(circuit.numQubits());
 
-    std::uint64_t remaining = options.shots;
-    std::uint64_t trajectory = 0;
-    while (remaining > 0) {
-        if (options.faultHook && options.faultHook(counts.shots()))
-            break;
-        // Clamp the final batch: the histogram must hold exactly
-        // options.shots entries, never a shotsPerTrajectory overshoot.
-        const std::uint64_t batch = std::min(per_traj, remaining);
-        remaining -= batch;
-        // Note: measurement-time idle noise for the terminal moment is
-        // captured by the readout error probability itself.
-        countTrajectory();
-        stats::Rng traj_rng(util::deriveTaskSeed(base, trajectory++));
-        runTrajectory(body, body_sched, options.noise, traj_rng, state);
-        for (std::uint64_t b = 0; b < batch; ++b) {
-            std::size_t basis = state.sampleBasisState(traj_rng);
-            std::string clbits(circuit.numClbits(), '0');
-            for (std::size_t c = 0; c < clbits.size(); ++c) {
-                if (clbit_source[c] < 0)
-                    continue;
-                int bit = static_cast<int>(
-                    (basis >> static_cast<std::size_t>(clbit_source[c])) & 1);
-                if (options.noise.enabled &&
-                    traj_rng.bernoulli(options.noise.pMeas)) {
-                    bit ^= 1;
-                }
-                clbits[c] = bit ? '1' : '0';
+    const std::uint64_t trajectories =
+        (options.shots + per_traj - 1) / per_traj;
+    StateLanes state(circuit.numQubits(),
+                     static_cast<std::size_t>(std::min<std::uint64_t>(
+                         trajectories, laneCap(circuit.numQubits()))));
+    LaneBatch batch(mid_circuit ? circuit : body, options.noise, state);
+    std::vector<stats::Rng> rngs;
+    rngs.reserve(state.maxLanes());
+    std::vector<std::uint64_t> lane_shots;
+    stats::Counts counts;
+    std::uint64_t assigned = 0;
+    std::uint64_t next = 0;
+    bool stopped = false;
+    while (!stopped && assigned < options.shots) {
+        // Fill the batch, consulting the hook with the shot count each
+        // trajectory starts from, exactly as a one-at-a-time loop
+        // would. Clamp the final trajectory: the histogram must hold
+        // exactly options.shots entries, never a shotsPerTrajectory
+        // overshoot.
+        rngs.clear();
+        lane_shots.clear();
+        while (rngs.size() < state.maxLanes() && assigned < options.shots) {
+            if (options.faultHook && options.faultHook(assigned)) {
+                stopped = true;
+                break;
             }
-            counts.add(clbits);
+            const std::uint64_t take =
+                std::min(per_traj, options.shots - assigned);
+            assigned += take;
+            lane_shots.push_back(take);
+            rngs.emplace_back(util::deriveTaskSeed(base, next++));
+        }
+        if (rngs.empty())
+            break;
+        countBatch(rngs.size());
+        batch.run(rngs);
+        for (std::size_t l = 0; l < rngs.size(); ++l) {
+            if (mid_circuit) {
+                counts.add(batch.clbits()[l]);
+                continue;
+            }
+            // Note: measurement-time idle noise for the terminal moment
+            // is captured by the readout error probability itself.
+            for (std::uint64_t b = 0; b < lane_shots[l]; ++b) {
+                std::size_t basis = state.sampleBasisState(l, rngs[l]);
+                std::string clbits(circuit.numClbits(), '0');
+                for (std::size_t c = 0; c < clbits.size(); ++c) {
+                    if (clbit_source[c] < 0)
+                        continue;
+                    int bit = static_cast<int>(
+                        (basis >> static_cast<std::size_t>(clbit_source[c])) &
+                        1);
+                    if (options.noise.enabled &&
+                        rngs[l].bernoulli(options.noise.pMeas)) {
+                        bit ^= 1;
+                    }
+                    clbits[c] = bit ? '1' : '0';
+                }
+                counts.add(clbits);
+            }
         }
     }
     return counts;

@@ -20,9 +20,11 @@
  * measurements are all terminal amortise several shots per trajectory;
  * mid-circuit measurement / RESET (the error-correction benchmarks)
  * force one trajectory per shot because the collapse is
- * outcome-dependent. Each terminal-mode trajectory draws from its own
+ * outcome-dependent. Each trajectory draws from its own
  * deriveTaskSeed-derived stream, so a truncated run's histogram is an
- * exact prefix of the full run's.
+ * exact prefix of the full run's. Trajectories run in lockstep
+ * batches of up to 16 lanes (StateLanes), one kernel per circuit step
+ * for the whole batch; a lane reproduces its lone trajectory exactly.
  */
 
 #ifndef SMQ_SIM_RUNNER_HPP
@@ -45,6 +47,9 @@ namespace smq::sim {
  * the number of shots already recorded; returning true stops the run,
  * which then reports the partial histogram accumulated so far. The
  * jobs layer uses this to model shot truncation deterministically.
+ * The hook must be a function of its argument: the trajectory engine
+ * asks it about every trajectory of a lockstep batch, in order, before
+ * running the batch.
  */
 using FaultHook = std::function<bool(std::uint64_t shotsDone)>;
 

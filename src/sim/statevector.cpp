@@ -1,5 +1,6 @@
 #include "sim/statevector.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -14,13 +15,20 @@ namespace smq::sim {
 namespace {
 constexpr std::size_t kMaxQubits = 26;
 
-/** One kernel application (1q/2q matrix or 3q permutation). */
+/** @p applies kernel applications (1q/2q matrix or 3q permutation). */
 inline void
-countSvKernel()
+countSvKernel(std::size_t applies = 1)
 {
-    static obs::Counter &applies =
+    static obs::Counter &counter =
         obs::counter(obs::names::kSimSvGateApplies);
-    applies.add();
+    counter.add(applies);
+}
+
+void
+checkQubitIndex(std::size_t q, std::size_t num_qubits)
+{
+    if (q >= num_qubits)
+        throw std::out_of_range("StateVector: qubit index out of range");
 }
 
 /**
@@ -64,89 +72,75 @@ sort3(std::size_t &a, std::size_t &b, std::size_t &c)
         std::swap(a, b);
 }
 
-} // namespace
+/*
+ * Every kernel below works on `size` amplitudes that hold one or more
+ * lanes of 2^n: the qubits are the low n index bits and the lane is
+ * the rest, so subspace enumeration over [0, size) visits every lane
+ * and never pairs amplitudes of two lanes.
+ */
 
-StateVector::StateVector(std::size_t num_qubits) : numQubits_(num_qubits)
+/**
+ * fn(i0, len) over the qubit-q pair runs of pair indices [pb, pe):
+ * amplitudes [i0, i0 + len) have qubit q clear and their partners
+ * [i0 + 2^q, i0 + 2^q + len) have it set. A run never crosses a lane.
+ */
+template <typename Fn>
+inline void
+forPairRuns(std::size_t pb, std::size_t pe, std::size_t q, const Fn &fn)
 {
-    if (num_qubits > kMaxQubits)
-        throw std::invalid_argument(
-            "StateVector: too many qubits for dense simulation");
-    // Estimate the allocation before attempting it: a too-large cell
-    // must fail as a structured ResourceExhausted, not a bad_alloc
-    // that kills the whole grid.
-    checkAllocationBudget(
-        "statevector(" + std::to_string(num_qubits) + " qubits)",
-        denseBytes(num_qubits, sizeof(Complex), false));
-    amps_.assign(std::size_t{1} << num_qubits, Complex{0.0, 0.0});
-    amps_[0] = 1.0;
+    const std::size_t stride = std::size_t{1} << q;
+    std::size_t p = pb;
+    while (p < pe) {
+        const std::size_t run = std::min(stride - (p & (stride - 1)), pe - p);
+        fn(expand1(p, q), run);
+        p += run;
+    }
 }
 
-Complex
-StateVector::amplitude(std::size_t basis_state) const
-{
-    return amps_.at(basis_state);
-}
-
+/**
+ * Apply the 2x2 matrix matrix_of(i0) to each qubit-q pair (i0 the
+ * amplitude with q clear); nullptr leaves the pair untouched.
+ */
+template <typename MatrixOf>
 void
-StateVector::resetToZero()
+matrix1Kernel(Complex *amps, std::size_t size, std::size_t q,
+              const MatrixOf &matrix_of)
 {
-    std::fill(amps_.begin(), amps_.end(), Complex{0.0, 0.0});
-    amps_[0] = 1.0;
-}
-
-void
-StateVector::checkQubit(std::size_t q) const
-{
-    if (q >= numQubits_)
-        throw std::out_of_range("StateVector: qubit index out of range");
-}
-
-void
-StateVector::applyMatrix1(std::size_t q, const Matrix2 &m)
-{
-    checkQubit(q);
-    countSvKernel();
     kernels::recordSimdPath();
     const std::size_t stride = std::size_t{1} << q;
-    Complex *amps = amps_.data();
     // Pair index p enumerates the qubit-q=0 subspace; consecutive p
     // with the same high bits form contiguous amplitude runs of
     // length `stride`, which the SIMD primitive consumes whole.
     kernels::forEachRange(
-        amps_.size() / 2, amps_.size(),
-        [&](std::size_t pb, std::size_t pe) {
+        size / 2, size, [&](std::size_t pb, std::size_t pe) {
             if (stride < 4) {
                 for (std::size_t p = pb; p < pe; ++p) {
                     const std::size_t i0 = expand1(p, q);
+                    const Matrix2 *m = matrix_of(i0);
+                    if (m == nullptr)
+                        continue;
                     const Complex a0 = amps[i0];
                     const Complex a1 = amps[i0 + stride];
-                    amps[i0] = kernels::coeffMul(m[0], a0) +
-                               kernels::coeffMul(m[1], a1);
-                    amps[i0 + stride] = kernels::coeffMul(m[2], a0) +
-                                        kernels::coeffMul(m[3], a1);
+                    amps[i0] = kernels::coeffMul((*m)[0], a0) +
+                               kernels::coeffMul((*m)[1], a1);
+                    amps[i0 + stride] = kernels::coeffMul((*m)[2], a0) +
+                                        kernels::coeffMul((*m)[3], a1);
                 }
                 return;
             }
-            std::size_t p = pb;
-            while (p < pe) {
-                const std::size_t off = p & (stride - 1);
-                const std::size_t run = std::min(stride - off, pe - p);
-                const std::size_t i0 = expand1(p, q);
-                kernels::pairTransform(amps + i0, amps + i0 + stride,
-                                       run, m);
-                p += run;
-            }
+            forPairRuns(pb, pe, q, [&](std::size_t i0, std::size_t run) {
+                if (const Matrix2 *m = matrix_of(i0))
+                    kernels::pairTransform(amps + i0, amps + i0 + stride,
+                                           run, *m);
+            });
         });
 }
 
+/** Apply a two-qubit matrix (basis |b0 b1>, see gate_matrices). */
 void
-StateVector::applyMatrix2(std::size_t q0, std::size_t q1, const Matrix4 &m)
+matrix2Kernel(Complex *amps, std::size_t size, std::size_t q0,
+              std::size_t q1, const Matrix4 &m)
 {
-    checkQubit(q0);
-    checkQubit(q1);
-    if (q0 == q1)
-        throw std::invalid_argument("StateVector: duplicate qubit");
-    countSvKernel();
     kernels::recordSimdPath();
     const std::size_t s0 = std::size_t{1} << q0;
     const std::size_t s1 = std::size_t{1} << q1;
@@ -154,13 +148,11 @@ StateVector::applyMatrix2(std::size_t q0, std::size_t q1, const Matrix4 &m)
     if (p0 > p1)
         std::swap(p0, p1);
     const std::size_t sLow = std::size_t{1} << p0;
-    Complex *amps = amps_.data();
     // Quad index k enumerates the both-qubits-0 subspace (no
     // branch-per-index scan); the four basis offsets follow the
     // |b0 b1> convention with s0 the FIRST operand's bit.
     kernels::forEachRange(
-        amps_.size() / 4, amps_.size(),
-        [&](std::size_t kb, std::size_t ke) {
+        size / 4, size, [&](std::size_t kb, std::size_t ke) {
             if (sLow < 4) {
                 for (std::size_t k = kb; k < ke; ++k) {
                     const std::size_t idx = expand2(k, p0, p1);
@@ -193,13 +185,18 @@ StateVector::applyMatrix2(std::size_t q0, std::size_t q1, const Matrix4 &m)
         });
 }
 
+/**
+ * Apply one unitary gate over n-qubit lanes (CCX / CSWAP as basis
+ * permutations). @throws for MEASURE / RESET / BARRIER, bad arity or
+ * an out-of-range / duplicate qubit.
+ */
 void
-StateVector::applyGate(const qc::Gate &gate)
+gateKernel(Complex *amps, std::size_t size, std::size_t n,
+           const qc::Gate &gate)
 {
     using qc::GateType;
     switch (gate.type) {
       case GateType::CCX: {
-        countSvKernel();
         // Only the c0=1, c1=1, t=0 subspace moves: enumerate its
         // 2^(n-3) members directly instead of branching over all 2^n.
         const std::size_t c0 = std::size_t{1} << gate.qubits[0];
@@ -208,10 +205,8 @@ StateVector::applyGate(const qc::Gate &gate)
         std::size_t p0 = gate.qubits[0], p1 = gate.qubits[1],
                     p2 = gate.qubits[2];
         sort3(p0, p1, p2);
-        Complex *amps = amps_.data();
         kernels::forEachRange(
-            amps_.size() >> 3, amps_.size() >> 2,
-            [&](std::size_t kb, std::size_t ke) {
+            size >> 3, size >> 2, [&](std::size_t kb, std::size_t ke) {
                 for (std::size_t k = kb; k < ke; ++k) {
                     std::size_t base = expand3(k, p0, p1, p2) | c0 | c1;
                     std::swap(amps[base], amps[base | t]);
@@ -220,7 +215,6 @@ StateVector::applyGate(const qc::Gate &gate)
         return;
       }
       case GateType::CSWAP: {
-        countSvKernel();
         // The moving subspace is c=1, a=1, b=0 <-> c=1, a=0, b=1.
         const std::size_t c = std::size_t{1} << gate.qubits[0];
         const std::size_t a = std::size_t{1} << gate.qubits[1];
@@ -228,10 +222,8 @@ StateVector::applyGate(const qc::Gate &gate)
         std::size_t p0 = gate.qubits[0], p1 = gate.qubits[1],
                     p2 = gate.qubits[2];
         sort3(p0, p1, p2);
-        Complex *amps = amps_.data();
         kernels::forEachRange(
-            amps_.size() >> 3, amps_.size() >> 2,
-            [&](std::size_t kb, std::size_t ke) {
+            size >> 3, size >> 2, [&](std::size_t kb, std::size_t ke) {
                 for (std::size_t k = kb; k < ke; ++k) {
                     std::size_t base = expand3(k, p0, p1, p2) | c | a;
                     std::swap(amps[base], amps[base ^ a ^ b]);
@@ -248,12 +240,215 @@ StateVector::applyGate(const qc::Gate &gate)
         break;
     }
     if (gate.qubits.size() == 1) {
-        applyMatrix1(gate.qubits[0], gateMatrix1(gate));
+        checkQubitIndex(gate.qubits[0], n);
+        const Matrix2 m = gateMatrix1(gate);
+        matrix1Kernel(amps, size, gate.qubits[0],
+                      [&m](std::size_t) { return &m; });
     } else if (gate.qubits.size() == 2) {
-        applyMatrix2(gate.qubits[0], gate.qubits[1], gateMatrix2(gate));
+        checkQubitIndex(gate.qubits[0], n);
+        checkQubitIndex(gate.qubits[1], n);
+        if (gate.qubits[0] == gate.qubits[1])
+            throw std::invalid_argument("StateVector: duplicate qubit");
+        matrix2Kernel(amps, size, gate.qubits[0], gate.qubits[1],
+                      gateMatrix2(gate));
     } else {
         throw std::invalid_argument("StateVector::applyGate: bad arity");
     }
+}
+
+/**
+ * Sum of |amp|^2 over the indices in [b, e) with bit q set, walking
+ * only the bit-set runs: the same additions in the same order as a
+ * scan of every index that skips the clear ones.
+ */
+double
+setRunsNorm(const Complex *amps, std::size_t b, std::size_t e,
+            std::size_t q)
+{
+    const std::size_t stride = std::size_t{1} << q;
+    double p = 0.0;
+    std::size_t i = b;
+    while (i < e) {
+        if ((i & stride) == 0)
+            i = (i | stride) & ~(stride - 1); // start of the next set run
+        const std::size_t end = std::min(e, (i | (stride - 1)) + 1);
+        for (; i < end; ++i)
+            p += std::norm(amps[i]);
+    }
+    return p;
+}
+
+/**
+ * out[l] = P(qubit q = 1) of each of @p lanes lanes of 2^n. Each lane
+ * is its own kReduceGrain-chunked reduction, so a lane's sum does not
+ * depend on how many lanes share the buffer.
+ */
+void
+laneProbabilities(const Complex *amps, std::size_t n, std::size_t lanes,
+                  std::size_t q, double *out)
+{
+    const std::size_t dim = std::size_t{1} << n;
+    for (std::size_t l = 0; l < lanes; ++l) {
+        const Complex *lane = amps + (l << n);
+        out[l] = kernels::reduceChunked<double>(
+            dim, [&](std::size_t b, std::size_t e) {
+                return setRunsNorm(lane, b, e, q);
+            });
+    }
+}
+
+/** measure()'s renormalisation after drawing @p outcome from @p p1. */
+double
+measureScale(double p1, int outcome)
+{
+    double keep = outcome ? p1 : 1.0 - p1;
+    if (keep <= 0.0)
+        keep = 1.0; // numerically impossible branch; avoid div by zero
+    return 1.0 / std::sqrt(keep);
+}
+
+/**
+ * Project qubit q of lane l onto outcomes[l]: the kept half scales by
+ * scales[l], the other half is zeroed.
+ */
+void
+collapseKernel(Complex *amps, std::size_t n, std::size_t lanes,
+               std::size_t q, const int *outcomes, const double *scales)
+{
+    const std::size_t size = lanes << n;
+    const std::size_t stride = std::size_t{1} << q;
+    kernels::forEachRange(
+        size / 2, size, [&](std::size_t pb, std::size_t pe) {
+            forPairRuns(pb, pe, q, [&](std::size_t i0, std::size_t run) {
+                const std::size_t lane = i0 >> n;
+                const std::size_t kept = outcomes[lane] == 1 ? stride : 0;
+                Complex *keep = amps + i0 + kept;
+                Complex *drop = amps + i0 + (stride - kept);
+                const double scale = scales[lane];
+                for (std::size_t k = 0; k < run; ++k)
+                    keep[k] *= scale;
+                for (std::size_t k = 0; k < run; ++k)
+                    drop[k] = 0.0;
+            });
+        });
+}
+
+/** Apply events[l] to qubit q of lane l (see Relaxation). */
+void
+relaxKernel(Complex *amps, std::size_t n, std::size_t lanes,
+            std::size_t q, const Relaxation *events)
+{
+    const std::size_t size = lanes << n;
+    const std::size_t stride = std::size_t{1} << q;
+    kernels::forEachRange(
+        size / 2, size, [&](std::size_t pb, std::size_t pe) {
+            forPairRuns(pb, pe, q, [&](std::size_t i0, std::size_t run) {
+                const Relaxation &ev = events[i0 >> n];
+                Complex *zero = amps + i0;
+                Complex *one = zero + stride;
+                switch (ev.damping) {
+                  case Relaxation::Damping::Jump:
+                    for (std::size_t k = 0; k < run; ++k) {
+                        zero[k] = one[k] * ev.keep1;
+                        one[k] = 0.0;
+                    }
+                    break;
+                  case Relaxation::Damping::Decay:
+                    for (std::size_t k = 0; k < run; ++k)
+                        zero[k] *= ev.keep0;
+                    for (std::size_t k = 0; k < run; ++k)
+                        one[k] *= ev.keep1;
+                    break;
+                  case Relaxation::Damping::None:
+                    break;
+                }
+                if (ev.dephase) {
+                    for (std::size_t k = 0; k < run; ++k)
+                        one[k] = -one[k];
+                }
+            });
+        });
+}
+
+/** Sample a basis state of one lane by a sequential prefix scan. */
+std::size_t
+sampleBasis(const Complex *amps, std::size_t dim, stats::Rng &rng)
+{
+    // Inherently serial, and one pass of adds is memory-bound anyway.
+    double r = rng.uniform();
+    double acc = 0.0;
+    for (std::size_t idx = 0; idx < dim; ++idx) {
+        acc += std::norm(amps[idx]);
+        if (r < acc)
+            return idx;
+    }
+    return dim - 1;
+}
+
+/** Budget-check @p lanes dense states of @p num_qubits qubits. */
+void
+checkDenseBudget(std::size_t num_qubits, std::size_t lanes)
+{
+    if (num_qubits > kMaxQubits)
+        throw std::invalid_argument(
+            "StateVector: too many qubits for dense simulation");
+    // Estimate the allocation before attempting it: a too-large cell
+    // must fail as a structured ResourceExhausted, not a bad_alloc
+    // that kills the whole grid.
+    std::string what = "statevector(" + std::to_string(num_qubits) +
+                       " qubits)";
+    if (lanes > 1)
+        what += " x " + std::to_string(lanes) + " lanes";
+    checkAllocationBudget(
+        what, denseBytes(num_qubits, sizeof(Complex), false) * lanes);
+}
+
+} // namespace
+
+StateVector::StateVector(std::size_t num_qubits) : numQubits_(num_qubits)
+{
+    checkDenseBudget(num_qubits, 1);
+    amps_.assign(std::size_t{1} << num_qubits, Complex{0.0, 0.0});
+    amps_[0] = 1.0;
+}
+
+Complex
+StateVector::amplitude(std::size_t basis_state) const
+{
+    return amps_.at(basis_state);
+}
+
+void
+StateVector::checkQubit(std::size_t q) const
+{
+    checkQubitIndex(q, numQubits_);
+}
+
+void
+StateVector::applyMatrix1(std::size_t q, const Matrix2 &m)
+{
+    checkQubit(q);
+    countSvKernel();
+    matrix1Kernel(amps_.data(), amps_.size(), q,
+                  [&m](std::size_t) { return &m; });
+}
+
+void
+StateVector::applyMatrix2(std::size_t q0, std::size_t q1, const Matrix4 &m)
+{
+    checkQubit(q0);
+    checkQubit(q1);
+    if (q0 == q1)
+        throw std::invalid_argument("StateVector: duplicate qubit");
+    countSvKernel();
+    matrix2Kernel(amps_.data(), amps_.size(), q0, q1, m);
+}
+
+void
+StateVector::applyGate(const qc::Gate &gate)
+{
+    gateKernel(amps_.data(), amps_.size(), numQubits_, gate);
+    countSvKernel();
 }
 
 void
@@ -286,111 +481,31 @@ double
 StateVector::probabilityOfOne(std::size_t q) const
 {
     checkQubit(q);
-    const std::size_t mask = std::size_t{1} << q;
-    const Complex *amps = amps_.data();
-    return kernels::reduceChunked<double>(
-        amps_.size(), [&](std::size_t b, std::size_t e) {
-            double p = 0.0;
-            for (std::size_t idx = b; idx < e; ++idx) {
-                if (idx & mask)
-                    p += std::norm(amps[idx]);
-            }
-            return p;
-        });
+    double p1 = 0.0;
+    laneProbabilities(amps_.data(), numQubits_, 1, q, &p1);
+    return p1;
 }
 
 int
 StateVector::measure(std::size_t q, stats::Rng &rng)
 {
-    double p1 = probabilityOfOne(q);
-    int outcome = rng.bernoulli(p1) ? 1 : 0;
-    const std::size_t mask = std::size_t{1} << q;
-    double keep = outcome ? p1 : 1.0 - p1;
-    if (keep <= 0.0)
-        keep = 1.0; // numerically impossible branch; avoid div by zero
-    double scale = 1.0 / std::sqrt(keep);
-    Complex *amps = amps_.data();
-    kernels::forEachRange(
-        amps_.size(), amps_.size(), [&](std::size_t b, std::size_t e) {
-            for (std::size_t idx = b; idx < e; ++idx) {
-                bool is_one = (idx & mask) != 0;
-                if (is_one == (outcome == 1))
-                    amps[idx] *= scale;
-                else
-                    amps[idx] = 0.0;
-            }
-        });
+    const double p1 = probabilityOfOne(q);
+    const int outcome = rng.bernoulli(p1) ? 1 : 0;
+    const double scale = measureScale(p1, outcome);
+    collapseKernel(amps_.data(), numQubits_, 1, q, &outcome, &scale);
     return outcome;
 }
 
 double
 StateVector::project(std::size_t q, int outcome)
 {
-    double p1 = probabilityOfOne(q);
-    double keep = outcome ? p1 : 1.0 - p1;
+    const double p1 = probabilityOfOne(q);
+    const double keep = outcome ? p1 : 1.0 - p1;
     if (keep <= 0.0)
         return 0.0;
-    const std::size_t mask = std::size_t{1} << q;
-    double scale = 1.0 / std::sqrt(keep);
-    Complex *amps = amps_.data();
-    kernels::forEachRange(
-        amps_.size(), amps_.size(), [&](std::size_t b, std::size_t e) {
-            for (std::size_t idx = b; idx < e; ++idx) {
-                bool is_one = (idx & mask) != 0;
-                if (is_one == (outcome == 1))
-                    amps[idx] *= scale;
-                else
-                    amps[idx] = 0.0;
-            }
-        });
+    const double scale = 1.0 / std::sqrt(keep);
+    collapseKernel(amps_.data(), numQubits_, 1, q, &outcome, &scale);
     return keep;
-}
-
-void
-StateVector::thermalRelaxationTrajectory(std::size_t q, double p_damp,
-                                         double p_phase, stats::Rng &rng)
-{
-    const std::size_t mask = std::size_t{1} << q;
-    Complex *amps = amps_.data();
-    if (p_damp > 0.0) {
-        double p1 = probabilityOfOne(q);
-        if (p1 > 0.0 && rng.bernoulli(p_damp * p1)) {
-            // jump |1> -> |0>: move the excited amplitudes down and
-            // renormalise by sqrt(p1) in the same pass
-            double scale = 1.0 / std::sqrt(p1);
-            kernels::forEachRange(
-                amps_.size(), amps_.size(),
-                [&](std::size_t b, std::size_t e) {
-                    for (std::size_t idx = b; idx < e; ++idx) {
-                        if (idx & mask) {
-                            amps[idx ^ mask] = amps[idx] * scale;
-                            amps[idx] = 0.0;
-                        }
-                    }
-                });
-        } else if (p1 > 0.0) {
-            // no-jump Kraus diag(1, sqrt(1 - p_damp)), renormalised by
-            // the branch probability sqrt(1 - p_damp * p1)
-            double renorm = std::sqrt(1.0 - p_damp * p1);
-            double keep0 = 1.0 / renorm;
-            double keep1 = std::sqrt(1.0 - p_damp) / renorm;
-            kernels::forEachRange(
-                amps_.size(), amps_.size(),
-                [&](std::size_t b, std::size_t e) {
-                    for (std::size_t idx = b; idx < e; ++idx)
-                        amps[idx] *= (idx & mask) ? keep1 : keep0;
-                });
-        }
-    }
-    if (p_phase > 0.0 && rng.bernoulli(p_phase)) {
-        kernels::forEachRange(
-            amps_.size(), amps_.size(), [&](std::size_t b, std::size_t e) {
-                for (std::size_t idx = b; idx < e; ++idx) {
-                    if (idx & mask)
-                        amps[idx] = -amps[idx];
-                }
-            });
-    }
 }
 
 void
@@ -405,16 +520,87 @@ StateVector::reset(std::size_t q, stats::Rng &rng)
 std::size_t
 StateVector::sampleBasisState(stats::Rng &rng) const
 {
-    // Sequential prefix scan: inherently serial, and one pass of
-    // adds is memory-bound anyway.
-    double r = rng.uniform();
-    double acc = 0.0;
-    for (std::size_t idx = 0; idx < amps_.size(); ++idx) {
-        acc += std::norm(amps_[idx]);
-        if (r < acc)
-            return idx;
-    }
-    return amps_.size() - 1;
+    return sampleBasis(amps_.data(), amps_.size(), rng);
+}
+
+StateLanes::StateLanes(std::size_t num_qubits, std::size_t max_lanes)
+    : numQubits_(num_qubits)
+{
+    checkDenseBudget(num_qubits, max_lanes);
+    amps_.assign(max_lanes << num_qubits, Complex{0.0, 0.0});
+}
+
+void
+StateLanes::resetToZero(std::size_t lanes)
+{
+    if (lanes > maxLanes())
+        throw std::invalid_argument("StateLanes: more lanes than room");
+    lanes_ = lanes;
+    std::fill(amps_.begin(), amps_.begin() + (lanes << numQubits_),
+              Complex{0.0, 0.0});
+    for (std::size_t l = 0; l < lanes; ++l)
+        amps_[l << numQubits_] = 1.0;
+}
+
+void
+StateLanes::applyGate(const qc::Gate &gate)
+{
+    gateKernel(amps_.data(), lanes_ << numQubits_, numQubits_, gate);
+    countSvKernel(lanes_);
+}
+
+void
+StateLanes::applyPerLane(std::size_t q,
+                         const std::vector<const Matrix2 *> &per_lane)
+{
+    checkQubitIndex(q, numQubits_);
+    const std::size_t hits = static_cast<std::size_t>(
+        std::count_if(per_lane.begin(), per_lane.begin() + lanes_,
+                      [](const Matrix2 *m) { return m != nullptr; }));
+    if (hits == 0)
+        return;
+    countSvKernel(hits);
+    const std::size_t n = numQubits_;
+    matrix1Kernel(amps_.data(), lanes_ << n, q,
+                  [&](std::size_t i0) { return per_lane[i0 >> n]; });
+}
+
+void
+StateLanes::probabilitiesOfOne(std::size_t q,
+                               std::vector<double> &out) const
+{
+    checkQubitIndex(q, numQubits_);
+    out.resize(lanes_);
+    laneProbabilities(amps_.data(), numQubits_, lanes_, q, out.data());
+}
+
+void
+StateLanes::collapse(std::size_t q, const std::vector<int> &outcomes,
+                     const std::vector<double> &p1)
+{
+    checkQubitIndex(q, numQubits_);
+    std::vector<double> scales(lanes_);
+    for (std::size_t l = 0; l < lanes_; ++l)
+        scales[l] = measureScale(p1[l], outcomes[l]);
+    collapseKernel(amps_.data(), numQubits_, lanes_, q, outcomes.data(),
+                   scales.data());
+}
+
+void
+StateLanes::relax(std::size_t q, const std::vector<Relaxation> &events)
+{
+    checkQubitIndex(q, numQubits_);
+    if (std::all_of(events.begin(), events.begin() + lanes_,
+                    [](const Relaxation &ev) { return ev.idle(); }))
+        return;
+    relaxKernel(amps_.data(), numQubits_, lanes_, q, events.data());
+}
+
+std::size_t
+StateLanes::sampleBasisState(std::size_t lane, stats::Rng &rng) const
+{
+    return sampleBasis(amps_.data() + (lane << numQubits_),
+                       std::size_t{1} << numQubits_, rng);
 }
 
 std::vector<double>

@@ -9,7 +9,8 @@
  * values for the QAOA/VQE/Hamiltonian-simulation score functions.
  *
  * Qubit q maps to bit q of the amplitude index (qubit 0 is the least
- * significant bit).
+ * significant bit). StateLanes holds several such states side by side
+ * for the trajectory engine's lockstep batches, on the same kernels.
  */
 
 #ifndef SMQ_SIM_STATEVECTOR_HPP
@@ -39,9 +40,6 @@ class StateVector
 
     const std::vector<Complex> &amplitudes() const { return amps_; }
     Complex amplitude(std::size_t basis_state) const;
-
-    /** Reinitialise to |0...0>. */
-    void resetToZero();
 
     /** Apply a one-qubit matrix to qubit q. */
     void applyMatrix1(std::size_t q, const Matrix2 &m);
@@ -85,17 +83,6 @@ class StateVector
     /** Measure-and-restore-to-|0> (RESET semantics). */
     void reset(std::size_t q, stats::Rng &rng);
 
-    /**
-     * One trajectory step of thermal relaxation on an idle qubit:
-     * amplitude damping toward |0> with probability @p p_damp
-     * (exact jump/no-jump unravelling, renormalised in-place) and a
-     * Pauli-twirled dephasing Z-flip with probability @p p_phase.
-     * Fused into two passes over the state for the noisy-runner hot
-     * path.
-     */
-    void thermalRelaxationTrajectory(std::size_t q, double p_damp,
-                                     double p_phase, stats::Rng &rng);
-
     /** Sample a full computational-basis outcome without collapsing. */
     std::size_t sampleBasisState(stats::Rng &rng) const;
 
@@ -121,6 +108,85 @@ class StateVector
     void checkQubit(std::size_t q) const;
 
     std::size_t numQubits_;
+    std::vector<Complex> amps_;
+};
+
+/**
+ * One lane's idle thermal-relaxation event on one qubit, as drawn by
+ * the trajectory engine from the jump/no-jump unravelling of
+ * amplitude damping plus a Pauli-twirled dephasing flip.
+ */
+struct Relaxation
+{
+    enum class Damping {
+        None,  ///< amplitudes untouched (P(1) was 0, or no damping)
+        Decay, ///< no jump: scale |0> by keep0 and |1> by keep1
+        Jump,  ///< jump: |1> amplitudes move to |0>, scaled by keep1
+    };
+    Damping damping = Damping::None;
+    double keep0 = 1.0;
+    double keep1 = 1.0;
+    bool dephase = false; ///< then negate the |1> amplitudes
+
+    /** True when applying the event changes nothing. */
+    bool idle() const { return damping == Damping::None && !dephase; }
+};
+
+/**
+ * Lockstep trajectory lanes: up to maxLanes() pure states of one width
+ * in one buffer, lane l at amplitudes [l << n, (l + 1) << n), each laid
+ * out exactly like a StateVector. Every kernel is one dispatch over all
+ * active lanes; per-lane arguments carry each lane's own stochastic
+ * event, drawn by the caller. StateVector runs the same kernels on a
+ * single lane, so a lane's amplitudes see the same arithmetic in the
+ * same order as a lone StateVector would, whatever its lane or batch.
+ *
+ * Per-lane arguments are indexed by lane and hold an entry for every
+ * active lane.
+ */
+class StateLanes
+{
+  public:
+    /**
+     * Room for @p max_lanes lanes of @p num_qubits qubits, budget
+     * checked like a StateVector of that many lanes; none active.
+     */
+    StateLanes(std::size_t num_qubits, std::size_t max_lanes);
+
+    std::size_t maxLanes() const { return amps_.size() >> numQubits_; }
+
+    /**
+     * Activate lanes [0, @p lanes), each |0...0>.
+     * @throws std::invalid_argument when @p lanes > maxLanes().
+     */
+    void resetToZero(std::size_t lanes);
+
+    /** Apply one unitary gate to every lane (one apply per lane). */
+    void applyGate(const qc::Gate &gate);
+
+    /** Apply *per_lane[l] to qubit q of lane l; nullptr skips it. */
+    void applyPerLane(std::size_t q,
+                      const std::vector<const Matrix2 *> &per_lane);
+
+    /** out[l] = probability that qubit q of lane l reads 1. */
+    void probabilitiesOfOne(std::size_t q, std::vector<double> &out) const;
+
+    /**
+     * Collapse qubit q of lane l onto outcomes[l], renormalising from
+     * that lane's P(1) p1[l] exactly as StateVector::measure does.
+     */
+    void collapse(std::size_t q, const std::vector<int> &outcomes,
+                  const std::vector<double> &p1);
+
+    /** Apply events[l] to qubit q of lane l. */
+    void relax(std::size_t q, const std::vector<Relaxation> &events);
+
+    /** StateVector::sampleBasisState on lane @p lane. */
+    std::size_t sampleBasisState(std::size_t lane, stats::Rng &rng) const;
+
+  private:
+    std::size_t numQubits_;
+    std::size_t lanes_ = 0;
     std::vector<Complex> amps_;
 };
 

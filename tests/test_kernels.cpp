@@ -173,6 +173,55 @@ TEST(KernelIdentity, StateVectorReductionsBitIdenticalAcrossJobs)
     }
 }
 
+TEST(KernelIdentity, RunBasedProbabilityOfOneEqualsAPlainScan)
+{
+    // P(1) walks only the bit-set runs. At width 17 the runs of qubits
+    // >= 14 span several kReduceGrain chunks and the lower qubits'
+    // runs tile each chunk; either way the sum must be bit-equal to a
+    // scan of every index that adds the set ones, under the same
+    // chunking.
+    constexpr std::size_t kWidth = 17;
+    qc::Circuit circuit(kWidth);
+    for (std::size_t q = 0; q < kWidth; ++q)
+        circuit.ry(0.2 + 0.37 * static_cast<double>(q), q);
+    for (std::size_t q = 0; q + 1 < kWidth; ++q)
+        circuit.cx(q, q + 1);
+    circuit.rx(1.3, 0).t(5).rz(0.4, kWidth - 1);
+    sim::StateVector state(kWidth);
+    sim::StateLanes lane(kWidth, 1);
+    lane.resetToZero(1);
+    for (const qc::Gate &g : circuit.gates()) {
+        state.applyGate(g);
+        lane.applyGate(g);
+    }
+    const std::vector<sim::Complex> &amps = state.amplitudes();
+
+    kernels::KernelConfigGuard guard;
+    kernels::setKernelThreshold(1);
+    std::vector<double> lane_p1;
+    for (std::size_t q = 0; q < kWidth; ++q) {
+        const std::size_t mask = std::size_t{1} << q;
+        const double scan = kernels::reduceChunked<double>(
+            amps.size(), [&](std::size_t b, std::size_t e) {
+                double p = 0.0;
+                for (std::size_t idx = b; idx < e; ++idx) {
+                    if (idx & mask)
+                        p += std::norm(amps[idx]);
+                }
+                return p;
+            });
+        kernels::setForceParallel(false);
+        kernels::setKernelJobs(1);
+        EXPECT_TRUE(bitEqual(state.probabilityOfOne(q), scan))
+            << "qubit " << q;
+        kernels::setForceParallel(true);
+        kernels::setKernelJobs(4);
+        lane.probabilitiesOfOne(q, lane_p1);
+        ASSERT_EQ(lane_p1.size(), 1u);
+        EXPECT_TRUE(bitEqual(lane_p1[0], scan)) << "lane, qubit " << q;
+    }
+}
+
 TEST(KernelIdentity, DensityMatrixBitIdenticalAcrossJobs)
 {
     qc::Circuit circuit = denseKernelCircuit(5);

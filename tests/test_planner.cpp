@@ -31,6 +31,8 @@
 #include "fig_data.hpp"
 #include "jobs/scheduler.hpp"
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
+#include "obs/names.hpp"
 #include "report/checkpoint.hpp"
 #include "serve/server.hpp"
 #include "sim/density_matrix.hpp"
@@ -367,6 +369,180 @@ TEST(ShotAccounting, MidCircuitPathCountsShotsExactly)
     stats::Rng rng(9);
     stats::Counts counts = sim::run(midCircuit(3), ro, rng);
     EXPECT_EQ(counts.shots(), 57u);
+}
+
+// --- lockstep trajectory lanes ---------------------------------------
+
+/** Every channel the trajectory engine draws: gate, readout, reset
+ *  and idle-relaxation errors. */
+sim::NoiseModel
+laneNoise()
+{
+    sim::NoiseModel noise = mildNoise();
+    noise.p2 = 0.02;
+    noise.pMeas = 0.02;
+    noise.pReset = 0.01;
+    noise.t1 = 40.0;
+    noise.t2 = 30.0;
+    noise.time1q = 0.05;
+    noise.time2q = 0.4;
+    noise.timeMeas = 1.0;
+    return noise;
+}
+
+/** Non-Clifford with a mid-circuit measure + reset: one shot per
+ *  trajectory. Four classical bits keep the histograms short. */
+qc::Circuit
+laneMidCircuit(std::size_t n)
+{
+    qc::Circuit c(n, 4, "lanes-mid");
+    for (std::size_t q = 0; q < n; ++q)
+        c.ry(0.4 + 0.15 * static_cast<double>(q), q);
+    for (std::size_t q = 1; q < n; ++q)
+        c.cx(q - 1, q);
+    c.measure(0, 0);
+    c.reset(0);
+    c.rx(0.9, 0);
+    c.cx(0, n - 1);
+    c.measure(0, 1);
+    c.measure(n / 2, 2);
+    c.measure(n - 1, 3);
+    return c;
+}
+
+/** Non-Clifford, terminal, wider than the density-matrix cutoff. */
+qc::Circuit
+laneTerminal(std::size_t n)
+{
+    qc::Circuit c(n, 4, "lanes-terminal");
+    for (std::size_t q = 0; q < n; ++q)
+        c.ry(0.4 + 0.15 * static_cast<double>(q), q);
+    for (std::size_t q = 1; q < n; ++q)
+        c.cx(q - 1, q);
+    c.rz(0.3, 0);
+    c.rx(0.6, n - 1);
+    c.measure(0, 0);
+    c.measure(n / 3, 1);
+    c.measure(2 * n / 3, 2);
+    c.measure(n - 1, 3);
+    return c;
+}
+
+/** A histogram as "bits:count" pairs in key order. */
+std::string
+renderCounts(const stats::Counts &counts)
+{
+    std::string out;
+    for (const auto &[bits, n] : counts.map())
+        out += (out.empty() ? "" : " ") + bits + ":" + std::to_string(n);
+    return out;
+}
+
+stats::Counts
+runLaneCircuit(const qc::Circuit &circuit, std::uint64_t shots,
+               std::uint64_t seed, sim::FaultHook hook = {})
+{
+    sim::RunOptions ro;
+    ro.noise = laneNoise();
+    ro.shots = shots;
+    ro.faultHook = std::move(hook);
+    stats::Rng rng(seed);
+    return sim::run(circuit, ro, rng);
+}
+
+TEST(TrajectoryLanes, HistogramsMatchTheOneTrajectoryAtATimeEngine)
+{
+    // Recorded with the engine that ran one trajectory at a time. 151
+    // mid-circuit shots and 17 terminal trajectories (330 shots at 20
+    // per trajectory, the last one 10) leave a partial last batch at
+    // every lane count but 1.
+    struct Pin
+    {
+        std::size_t width;
+        std::uint64_t lanes;
+        const char *mid;
+        const char *terminal;
+    };
+    const Pin pins[] = {
+        {10, 16,
+         "0000:17 0001:37 0010:30 0011:30 0100:10 0101:5 0110:6 0111:5 "
+         "1000:4 1001:2 1010:2 1011:2 1101:1",
+         "0000:61 0001:59 0010:46 0011:59 0100:25 0101:20 0110:24 "
+         "0111:19 1000:4 1001:3 1010:2 1011:1 1100:2 1101:1 1110:2 "
+         "1111:2"},
+        {11, 8,
+         "0000:34 0001:26 0010:32 0011:23 0100:7 0101:6 0110:10 0111:3 "
+         "1000:1 1001:3 1010:3 1011:3",
+         "0000:57 0001:35 0010:52 0011:65 0100:28 0101:22 0110:22 "
+         "0111:28 1000:1 1001:2 1010:3 1011:2 1100:1 1101:6 1110:2 "
+         "1111:4"},
+        {12, 4,
+         "0000:27 0001:30 0010:26 0011:22 0100:10 0101:8 0110:8 0111:10 "
+         "1000:2 1001:4 1010:1 1011:1 1101:1 1110:1",
+         "0000:53 0001:56 0010:42 0011:46 0100:30 0101:30 0110:30 "
+         "0111:20 1000:3 1001:3 1010:1 1011:5 1100:2 1101:3 1110:4 "
+         "1111:2"},
+        {13, 2,
+         "0000:25 0001:27 0010:30 0011:26 0100:5 0101:6 0110:14 0111:8 "
+         "1000:3 1001:3 1010:3 1011:1",
+         "0000:46 0001:47 0010:44 0011:50 0100:29 0101:33 0110:29 "
+         "0111:30 1000:3 1001:1 1010:1 1011:3 1100:2 1101:5 1110:5 "
+         "1111:2"},
+        {14, 1,
+         "0000:28 0001:28 0010:24 0011:23 0100:15 0101:7 0110:8 0111:9 "
+         "1000:1 1001:3 1011:3 1101:2",
+         "0000:43 0001:62 0010:38 0011:46 0100:25 0101:27 0110:36 "
+         "0111:31 1000:2 1001:2 1010:2 1011:4 1100:4 1110:5 1111:3"},
+    };
+    const bool metrics_were_on = obs::metricsEnabled();
+    obs::setMetricsEnabled(true);
+    obs::Counter &batches =
+        obs::counter(obs::names::kSimTrajectoryBatches);
+    for (const Pin &pin : pins) {
+        const std::uint64_t seed = 1000 + pin.width;
+        const qc::Circuit mid = laneMidCircuit(pin.width);
+        ASSERT_EQ(sim::planCircuit(mid, laneNoise()).token(),
+                  "trajectory:mid-circuit");
+        std::uint64_t before = batches.value();
+        EXPECT_EQ(renderCounts(runLaneCircuit(mid, 151, seed)), pin.mid)
+            << "mid-circuit, width " << pin.width;
+        EXPECT_EQ(batches.value() - before, (151 + pin.lanes - 1) / pin.lanes)
+            << "mid-circuit batches, width " << pin.width;
+
+        const qc::Circuit terminal = laneTerminal(pin.width);
+        ASSERT_EQ(sim::planCircuit(terminal, laneNoise()).token(),
+                  "trajectory:width>dm-cutoff");
+        before = batches.value();
+        EXPECT_EQ(renderCounts(runLaneCircuit(terminal, 330, seed)),
+                  pin.terminal)
+            << "terminal, width " << pin.width;
+        EXPECT_EQ(batches.value() - before, (17 + pin.lanes - 1) / pin.lanes)
+            << "terminal batches, width " << pin.width;
+    }
+    obs::setMetricsEnabled(metrics_were_on);
+}
+
+TEST(TrajectoryLanes, MidCircuitHookInsideABatchEqualsTheShorterRun)
+{
+    // Width 10 runs 16 lanes a batch: the hook fires inside the third.
+    const qc::Circuit circuit = laneMidCircuit(10);
+    const stats::Counts cut = runLaneCircuit(
+        circuit, 150, 77, [](std::uint64_t done) { return done >= 37; });
+    const stats::Counts shorter = runLaneCircuit(circuit, 37, 77);
+    EXPECT_EQ(cut.shots(), 37u);
+    EXPECT_EQ(cut.map(), shorter.map());
+}
+
+TEST(TrajectoryLanes, TerminalHookInsideABatchEqualsTheShorterRun)
+{
+    // 150 shots at 20 per trajectory is 8 trajectories, one batch at
+    // width 10; the hook fires after the third.
+    const qc::Circuit circuit = laneTerminal(10);
+    const stats::Counts cut = runLaneCircuit(
+        circuit, 150, 78, [](std::uint64_t done) { return done >= 60; });
+    const stats::Counts shorter = runLaneCircuit(circuit, 60, 78);
+    EXPECT_EQ(cut.shots(), 60u);
+    EXPECT_EQ(cut.map(), shorter.map());
 }
 
 // --- hasMidCircuitOperations trailing-op semantics -------------------

@@ -31,6 +31,15 @@ struct DecomposeCase
     std::size_t qubits;
 };
 
+// gtest appends the printed parameter to each case's listed name. Left
+// to itself it dumps the struct's raw bytes, padding and heap pointers
+// included, so the name would change from run to run.
+void
+PrintTo(const DecomposeCase &c, std::ostream *os)
+{
+    *os << qc::gateName(c.gate.type) << " on " << c.qubits << " qubits";
+}
+
 class DecomposePreservesUnitary
     : public ::testing::TestWithParam<DecomposeCase>
 {
