@@ -381,11 +381,6 @@ perfHarness(int argc, char **argv)
     if (jobs == 0)
         jobs = util::defaultJobs();
 
-    // Intra-op kernels get the full hardware budget; inside the
-    // parallel grid the nested-pool guard degrades them to serial, so
-    // the two layers never oversubscribe each other.
-    sim::kernels::setKernelJobs(util::defaultJobs());
-
     bench::ObsSession obs_session("bench_perf", argc, argv);
 
     std::vector<Stage> stages;
@@ -426,7 +421,8 @@ perfHarness(int argc, char **argv)
                benchmark::DoNotOptimize(sim::noisyDistribution(
                    ghz.circuits()[0], device::ibmMontreal().noise));
            }));
-    record("trajectories_ghz14_2000shots", timeIt([&] {
+    // GHZ is Clifford: the planner sends it to the stabilizer tableau.
+    record("stabilizer_ghz14_2000shots", timeIt([&] {
                core::GhzBenchmark ghz(14);
                sim::RunOptions ro;
                ro.shots = 2000;
@@ -438,7 +434,7 @@ perfHarness(int argc, char **argv)
     {
         // bit_code_6d2r as the Fig. 2 grid runs it on IBM-Montreal: 11
         // qubits with mid-circuit measure and reset, one trajectory
-        // per shot, 8 lanes a batch (ghz14 above runs one lane).
+        // per shot, 8 lanes a batch.
         const core::BitCodeBenchmark code =
             core::BitCodeBenchmark::alternating(6, 2);
         const device::Device montreal = device::ibmMontreal();
@@ -454,10 +450,10 @@ perfHarness(int argc, char **argv)
                }));
     }
 
-    // Observability overhead: the same trajectory workload with the
-    // metric registry off, then on. The instrumented sites in the
-    // simulator and pool are the real ones, so this measures what a
-    // production run pays for leaving --metrics enabled.
+    // Observability overhead: a noisy GHZ-12 run (stabilizer tableau)
+    // with the metric registry off, then on. The instrumented sites
+    // in the simulator and pool are the real ones, so this measures
+    // what a production run pays for leaving --metrics enabled.
     ObsOverhead obs_overhead;
     {
         core::GhzBenchmark ghz(12);

@@ -1,5 +1,6 @@
 #include "serve/cache.hpp"
 
+#include <array>
 #include <sstream>
 
 #include "obs/metrics.hpp"
@@ -26,7 +27,91 @@ hex16(std::uint64_t value)
     return out;
 }
 
+/**
+ * The fixed field text of an smq-serve-result-v1 payload, in the
+ * order server.cpp renders it. Token i packs to the byte i + 1. No
+ * token is a prefix of another, so a match is never ambiguous.
+ */
+constexpr std::array<std::string_view, 19> kPayloadTokens = {
+    "{\"schema\":\"smq-serve-result-v1\",\"benchmark\":\"",
+    "\",\"device\":\"",
+    "\",\"cache_key\":\"",
+    "\",\"shots\":",
+    ",\"repetitions\":",
+    ",\"seed\":",
+    ",\"status\":\"",
+    "\",\"cause\":\"",
+    "\",\"scores\":[",
+    "],\"mean\":",
+    ",\"stddev\":",
+    ",\"error_bar_scale\":",
+    ",\"planned_repetitions\":",
+    ",\"attempts\":",
+    ",\"physical_two_qubit_gates\":",
+    ",\"swaps_inserted\":",
+    ",\"plan\":\"",
+    "\",\"detail\":\"",
+    "\"}",
+};
+
+static_assert(kPayloadTokens[0].substr(11, 19) == kResultSchema,
+              "token 1 must carry the result schema tag");
+
+/** Packed prefix of a literal byte below 0x20 (tokens included). */
+constexpr char kEscape = '\0';
+
+bool
+isControl(char c)
+{
+    return static_cast<unsigned char>(c) < 0x20;
+}
+
 } // namespace
+
+std::string
+packPayload(std::string_view json)
+{
+    std::string out;
+    out.reserve(json.size());
+    std::size_t i = 0;
+    while (i < json.size()) {
+        const std::string_view rest = json.substr(i);
+        std::size_t token = 0;
+        while (token < kPayloadTokens.size() &&
+               !rest.starts_with(kPayloadTokens[token]))
+            ++token;
+        if (token < kPayloadTokens.size()) {
+            out.push_back(static_cast<char>(token + 1));
+            i += kPayloadTokens[token].size();
+            continue;
+        }
+        if (isControl(json[i]))
+            out.push_back(kEscape);
+        out.push_back(json[i++]);
+    }
+    out.shrink_to_fit();
+    return out;
+}
+
+std::string
+unpackPayload(std::string_view packed)
+{
+    std::string out;
+    out.reserve(2 * packed.size());
+    for (std::size_t i = 0; i < packed.size(); ++i) {
+        const char c = packed[i];
+        if (c == kEscape) {
+            if (++i < packed.size())
+                out.push_back(packed[i]);
+        } else if (isControl(c) &&
+                   static_cast<std::size_t>(c) <= kPayloadTokens.size()) {
+            out.append(kPayloadTokens[static_cast<std::size_t>(c) - 1]);
+        } else {
+            out.push_back(c);
+        }
+    }
+    return out;
+}
 
 CacheKey
 deriveCacheKey(const SubmitSpec &spec, const core::Benchmark &benchmark,
@@ -58,6 +143,15 @@ deriveCacheKey(const SubmitSpec &spec, const core::Benchmark &benchmark,
 std::optional<std::string>
 ResultCache::lookup(const std::string &key)
 {
+    const PayloadPtr payload = lookupPacked(key);
+    if (!payload)
+        return std::nullopt;
+    return payload->json();
+}
+
+PayloadPtr
+ResultCache::lookupPacked(const std::string &key)
+{
     static obs::Counter &hit_counter =
         obs::counter(obs::names::kServeCacheHit);
     static obs::Counter &miss_counter =
@@ -68,7 +162,7 @@ ResultCache::lookup(const std::string &key)
     if (it == entries_.end()) {
         ++misses_;
         miss_counter.add();
-        return std::nullopt;
+        return nullptr;
     }
     lru_.splice(lru_.begin(), lru_, it->second.lruPosition);
     ++hits_;
@@ -79,23 +173,34 @@ ResultCache::lookup(const std::string &key)
 void
 ResultCache::insert(const std::string &key, std::string payload)
 {
+    insertPacked(key, std::make_shared<const PackedPayload>(payload));
+}
+
+void
+ResultCache::insertPacked(const std::string &key, PayloadPtr payload)
+{
     std::lock_guard<std::mutex> lock(mutex_);
-    const std::size_t incoming =
-        payload.size() + key.size() + kEntryOverheadBytes;
+    const std::size_t incoming = charge(key, *payload);
     if (incoming > budget_)
         return; // larger than the whole cache: not storable
 
     auto it = entries_.find(key);
     if (it != entries_.end()) {
-        bytes_ -= it->second.payload.size() + key.size() +
-                  kEntryOverheadBytes;
+        bytes_ -= charge(key, *it->second.payload);
         lru_.erase(it->second.lruPosition);
         entries_.erase(it);
     }
     evictToFitLocked(incoming);
-    lru_.push_front(key);
-    entries_.emplace(key, Entry{std::move(payload), lru_.begin()});
+    it = entries_.emplace(key, Entry{std::move(payload), {}}).first;
+    lru_.push_front(&it->first);
+    it->second.lruPosition = lru_.begin();
     bytes_ += incoming;
+}
+
+std::size_t
+ResultCache::charge(const std::string &key, const PackedPayload &payload)
+{
+    return payload.size() + key.size() + kEntryOverheadBytes;
 }
 
 CacheStats
@@ -117,10 +222,8 @@ ResultCache::evictToFitLocked(std::size_t incoming_bytes)
     static obs::Counter &evict_counter =
         obs::counter(obs::names::kServeCacheEvict);
     while (!lru_.empty() && bytes_ + incoming_bytes > budget_) {
-        const std::string &victim = lru_.back();
-        auto it = entries_.find(victim);
-        bytes_ -= it->second.payload.size() + victim.size() +
-                  kEntryOverheadBytes;
+        auto it = entries_.find(*lru_.back());
+        bytes_ -= charge(it->first, *it->second.payload);
         entries_.erase(it);
         lru_.pop_back();
         ++evictions_;

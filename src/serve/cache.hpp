@@ -15,6 +15,11 @@
  * budget evicts least-recently-used entries first. A payload larger
  * than the whole budget is simply not cached. Thread-safe: daemon
  * workers insert concurrently with transport-thread lookups.
+ *
+ * Entries are stored packed (packPayload) and shared: the daemon's
+ * job records point at the same buffer as the entry that served them.
+ * The budget still charges the unpacked size, so `--cache-mb` means
+ * what it always meant.
  */
 
 #ifndef SMQ_SERVE_CACHE_HPP
@@ -23,9 +28,11 @@
 #include <cstdint>
 #include <list>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "core/benchmark.hpp"
 #include "device/device.hpp"
@@ -58,6 +65,42 @@ CacheKey deriveCacheKey(const SubmitSpec &spec,
                         const core::Benchmark &benchmark,
                         const device::Device &device);
 
+/**
+ * Pack a result payload: each fixed smq-serve-result-v1 field text
+ * becomes a one-byte token (a control byte, which JSON text never
+ * carries raw) and any literal control byte is escaped, so
+ * unpackPayload(packPayload(s)) == s for every string s.
+ */
+std::string packPayload(std::string_view json);
+
+/** Inverse of packPayload. */
+std::string unpackPayload(std::string_view packed);
+
+/**
+ * One result payload held packed, with its unpacked size. Immutable,
+ * so a cache entry and every job record it served share one.
+ */
+class PackedPayload
+{
+  public:
+    explicit PackedPayload(std::string_view json)
+        : packed_(packPayload(json)), size_(json.size())
+    {
+    }
+
+    /** The exact JSON bytes. */
+    std::string json() const { return unpackPayload(packed_); }
+
+    /** Size of json(): what the cache budget charges. */
+    std::size_t size() const { return size_; }
+
+  private:
+    std::string packed_;
+    std::size_t size_;
+};
+
+using PayloadPtr = std::shared_ptr<const PackedPayload>;
+
 /** Point-in-time cache statistics (for `stats` replies and tests). */
 struct CacheStats
 {
@@ -84,6 +127,9 @@ class ResultCache
      */
     std::optional<std::string> lookup(const std::string &key);
 
+    /** lookup() without unpacking: the shared entry, or null. */
+    PayloadPtr lookupPacked(const std::string &key);
+
     /**
      * Insert @p payload under @p key, evicting LRU entries until the
      * budget holds. Re-inserting an existing key refreshes the
@@ -91,15 +137,22 @@ class ResultCache
      */
     void insert(const std::string &key, std::string payload);
 
+    /** insert() of an already packed, possibly shared payload. */
+    void insertPacked(const std::string &key, PayloadPtr payload);
+
     CacheStats stats() const;
 
   private:
     struct Entry
     {
-        std::string payload;
-        std::list<std::string>::iterator lruPosition;
+        PayloadPtr payload;
+        /** Position in lru_, which points back at this entry's key. */
+        std::list<const std::string *>::iterator lruPosition;
     };
 
+    /** Budget charge of one entry: unpacked payload, key, overhead. */
+    static std::size_t charge(const std::string &key,
+                              const PackedPayload &payload);
     void evictToFitLocked(std::size_t incoming_bytes);
 
     mutable std::mutex mutex_;
@@ -108,7 +161,8 @@ class ResultCache
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t evictions_ = 0;
-    std::list<std::string> lru_; ///< front = most recently used
+    /** Keys of entries_ (its nodes never move); front = most recent. */
+    std::list<const std::string *> lru_;
     std::map<std::string, Entry> entries_;
 };
 

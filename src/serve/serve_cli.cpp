@@ -3,6 +3,7 @@
 #include <cctype>
 #include <exception>
 #include <istream>
+#include <limits>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -122,7 +123,8 @@ serveMain(const std::vector<std::string> &args, std::istream &in,
         } else if (arg == "--cache-mb") {
             auto v = value();
             auto n = v ? parseSize(*v) : std::nullopt;
-            if (!n)
+            // N MiB is N << 20 bytes, which would wrap past SIZE_MAX.
+            if (!n || *n > std::numeric_limits<std::size_t>::max() >> 20)
                 return usageError(err, "bad --cache-mb value");
             options.cacheBytes = *n << 20;
         } else if (arg == "--max-sim-qubits") {

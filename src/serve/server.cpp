@@ -1,5 +1,7 @@
 #include "serve/server.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <exception>
 #include <filesystem>
 #include <sstream>
@@ -57,13 +59,13 @@ writeNumber(std::ostream &out, double value)
 /** Render the smq-serve-result-v1 payload of one finished run. */
 std::string
 renderResult(const core::BenchmarkRun &run, const SubmitSpec &spec,
-             const CacheKey &key)
+             const std::string &key_hex)
 {
     std::ostringstream out;
     out << "{\"schema\":\"" << kResultSchema << "\""
         << ",\"benchmark\":\"" << obs::escapeJson(run.benchmark) << "\""
         << ",\"device\":\"" << obs::escapeJson(run.device) << "\""
-        << ",\"cache_key\":\"" << key.hex << "\""
+        << ",\"cache_key\":\"" << key_hex << "\""
         << ",\"shots\":" << spec.shots
         << ",\"repetitions\":" << spec.repetitions
         << ",\"seed\":" << spec.seed
@@ -87,6 +89,56 @@ renderResult(const core::BenchmarkRun &run, const SubmitSpec &spec,
         << ",\"swaps_inserted\":" << run.swapsInserted
         << ",\"plan\":\"" << obs::escapeJson(run.plan) << "\""
         << ",\"detail\":\"" << obs::escapeJson(run.detail) << "\"}";
+    return out.str();
+}
+
+std::string
+jobId(std::uint64_t id)
+{
+    return "job-" + std::to_string(id);
+}
+
+/**
+ * N of a canonical "job-<N>" id, or 0 (no job has it) for anything
+ * else: a sign, a leading zero or an overflowing N never aliases a
+ * real job.
+ */
+std::uint64_t
+parseJobId(const std::string &id)
+{
+    constexpr std::string_view kPrefix = "job-";
+    if (id.size() <= kPrefix.size() || !id.starts_with(kPrefix) ||
+        id[kPrefix.size()] == '0')
+        return 0;
+    const char *last = id.data() + id.size();
+    std::uint64_t n = 0;
+    const auto [end, error] =
+        std::from_chars(id.data() + kPrefix.size(), last, n);
+    return error == std::errc() && end == last ? n : 0;
+}
+
+std::array<char, 16>
+keyBytes(std::string_view hex)
+{
+    std::array<char, 16> key{};
+    std::copy_n(hex.begin(), std::min(hex.size(), key.size()), key.begin());
+    return key;
+}
+
+/** The submit reply; @p result is inlined when non-null. */
+std::string
+submitReply(std::uint64_t id, JobState state, bool cached,
+            std::string_view key_hex, const obs::TraceContext &trace,
+            const PackedPayload *result)
+{
+    std::ostringstream out;
+    out << "{\"ok\":true,\"type\":\"submit\",\"id\":\"" << jobId(id)
+        << "\",\"state\":\"" << toString(state) << "\",\"cached\":"
+        << (cached ? "true" : "false") << ",\"cache_key\":\"" << key_hex
+        << "\",\"trace_id\":\"" << trace.traceIdHex() << "\"";
+    if (result != nullptr)
+        out << ",\"result\":" << result->json();
+    out << "}";
     return out.str();
 }
 
@@ -189,7 +241,7 @@ Server::executeJob(Job &job)
                 .count());
         obs::recordSpan(obs::names::kSpanServeQueueWait,
                         job.enqueueTraceNs, wait_ns,
-                        obs::jsonField("job", job.id));
+                        obs::jsonField("job", jobId(job.id)));
     }
 
     jobs::JobOptions options;
@@ -214,7 +266,7 @@ Server::executeJob(Job &job)
     try {
         jobs::SweepContext ctx(options, injector);
         SMQ_TRACE_SPAN(obs::names::kSpanServeJob,
-                       obs::jsonField("job", job.id));
+                       obs::jsonField("job", jobId(job.id)));
         run = jobs::runJob(*job.benchmark, *job.device, options, ctx);
     } catch (const std::exception &e) {
         run.benchmark = job.spec.benchmark;
@@ -224,27 +276,26 @@ Server::executeJob(Job &job)
         run.detail = e.what();
     }
 
-    std::string payload = renderResult(run, job.spec, job.key);
-    const bool interrupted =
-        run.cause == core::FailureCause::Interrupted;
+    PayloadPtr payload = std::make_shared<const PackedPayload>(
+        renderResult(run, job.spec, job.keyHex));
     // Interrupted salvage depends on *when* the stop arrived — the one
     // nondeterministic outcome — so it must never be served to a later
     // identical request.
-    if (!interrupted)
-        cache_.insert(job.key.hex, payload);
+    if (run.cause != core::FailureCause::Interrupted)
+        cache_.insertPacked(job.keyHex, payload);
 
     if (!options_.manifestDir.empty()) {
         obs::RunManifest manifest = core::makeRunManifest(
             "smq_serve", options.harness);
-        manifest.extra["serve.job_id"] = job.id;
+        manifest.extra["serve.job_id"] = jobId(job.id);
         manifest.extra["serve.benchmark"] = job.spec.benchmark;
         manifest.extra["serve.device"] = job.spec.device;
-        manifest.extra["serve.cache_key"] = job.key.hex;
+        manifest.extra["serve.cache_key"] = job.keyHex;
         manifest.extra["serve.status"] = core::toString(run.status);
         manifest.extra["serve.plan"] = run.plan;
         manifest.extra["serve.trace_id"] = job.trace.traceIdHex();
-        const std::string path = options_.manifestDir + "/" + job.id +
-                                 "_manifest.json";
+        const std::string path = options_.manifestDir + "/" +
+                                 jobId(job.id) + "_manifest.json";
         if (!manifest.writeFile(path)) {
             std::lock_guard<std::mutex> lock(mutex_);
             if (storageError_.empty())
@@ -255,7 +306,6 @@ Server::executeJob(Job &job)
     {
         std::lock_guard<std::mutex> lock(mutex_);
         job.payload = std::move(payload);
-        job.interrupted = interrupted;
         job.state = JobState::Done;
         finishJobLocked(job);
     }
@@ -269,14 +319,23 @@ Server::finishJobLocked(Job &job)
         obs::counter(obs::names::kServeJobsCancelled);
     if (job.state == JobState::Cancelled)
         cancelled.add();
-    terminalOrder_.push_back(job.id);
+    live_.erase(job.id);
+    retireLocked(job.id,
+                 Record{job.payload, keyBytes(job.keyHex), job.state});
+    jobDone_.notify_all();
+}
+
+void
+Server::retireLocked(std::uint64_t id, Record record)
+{
+    records_.emplace(id, std::move(record));
+    terminalOrder_.push_back(id);
     // Bound the daemon's memory: drop the oldest terminal records
-    // past the retention window (queued/running jobs are never here).
+    // past the retention window.
     while (terminalOrder_.size() > options_.retainedJobs) {
-        jobs_.erase(terminalOrder_.front());
+        records_.erase(terminalOrder_.front());
         terminalOrder_.pop_front();
     }
-    jobDone_.notify_all();
 }
 
 void
@@ -318,14 +377,18 @@ Server::jobCounts() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     JobCounts counts;
-    for (const auto &[id, job] : jobs_) {
-        switch (job->state) {
+    auto tally = [&counts](JobState state) {
+        switch (state) {
           case JobState::Queued: ++counts.queued; break;
           case JobState::Running: ++counts.running; break;
           case JobState::Done: ++counts.done; break;
           case JobState::Cancelled: ++counts.cancelled; break;
         }
-    }
+    };
+    for (const auto &[id, job] : live_)
+        tally(job->state);
+    for (const auto &[id, record] : records_)
+        tally(record.state);
     return counts;
 }
 
@@ -363,21 +426,6 @@ Server::handle(const std::string &line)
 }
 
 std::string
-Server::submitReply(const Job &job, bool include_result) const
-{
-    std::ostringstream out;
-    out << "{\"ok\":true,\"type\":\"submit\",\"id\":\"" << job.id
-        << "\",\"state\":\"" << toString(job.state) << "\",\"cached\":"
-        << (job.cached ? "true" : "false") << ",\"cache_key\":\""
-        << job.key.hex << "\",\"trace_id\":\"" << job.trace.traceIdHex()
-        << "\"";
-    if (include_result && job.state == JobState::Done)
-        out << ",\"result\":" << job.payload;
-    out << "}";
-    return out.str();
-}
-
-std::string
 Server::handleSubmit(const SubmitSpec &spec)
 {
     static obs::Counter &submitted =
@@ -399,7 +447,7 @@ Server::handleSubmit(const SubmitSpec &spec)
                          "no device named " + spec.device);
 
     CacheKey key = deriveCacheKey(spec, *benchmark, *device);
-    std::optional<std::string> cached = cache_.lookup(key.hex);
+    PayloadPtr cached = cache_.lookupPacked(key.hex);
 
     // Adopt the client's trace context, or derive one from the run
     // identity so a daemon-side trace always has an id to stitch on.
@@ -421,7 +469,15 @@ Server::handleSubmit(const SubmitSpec &spec)
     std::shared_ptr<Job> job;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (!cached && queue_.size() >= options_.queueLimit) {
+        if (cached) {
+            // A hit is terminal at once: it only ever needs a record.
+            const std::uint64_t id = nextId_++;
+            retireLocked(id, Record{cached, keyBytes(key.hex),
+                                    JobState::Done, true});
+            return submitReply(id, JobState::Done, true, key.hex, trace,
+                               spec.wait ? cached.get() : nullptr);
+        }
+        if (queue_.size() >= options_.queueLimit) {
             rejected.add();
             return errorLine(ErrorCode::QueueFull,
                              "queue at capacity (" +
@@ -429,33 +485,28 @@ Server::handleSubmit(const SubmitSpec &spec)
                                  "); retry later");
         }
         job = std::make_shared<Job>();
-        job->id = "job-" + std::to_string(nextId_++);
+        job->id = nextId_++;
         job->spec = spec;
         job->benchmark = std::move(benchmark);
         job->device = device;
-        job->key = std::move(key);
+        job->keyHex = std::move(key.hex);
         job->trace = trace;
-        jobs_.emplace(job->id, job);
-        if (cached) {
-            job->state = JobState::Done;
-            job->cached = true;
-            job->payload = std::move(*cached);
-            finishJobLocked(*job);
-        } else {
-            submitted.add();
-            job->enqueuedAt = std::chrono::steady_clock::now();
-            job->enqueueTraceNs = obs::traceNowNs();
-            queue_.push_back(job);
-            queueHighWater_ = std::max(queueHighWater_, queue_.size());
-            workAvailable_.notify_one();
-        }
+        live_.emplace(job->id, job);
+        submitted.add();
+        job->enqueuedAt = std::chrono::steady_clock::now();
+        job->enqueueTraceNs = obs::traceNowNs();
+        queue_.push_back(job);
+        queueHighWater_ = std::max(queueHighWater_, queue_.size());
+        workAvailable_.notify_one();
     }
 
     if (spec.wait)
-        waitForJob(*job); // no-op when already terminal (cache hit)
+        waitForJob(*job);
 
     std::lock_guard<std::mutex> lock(mutex_);
-    return submitReply(*job, spec.wait);
+    const bool inline_result = spec.wait && job->state == JobState::Done;
+    return submitReply(job->id, job->state, false, job->keyHex, job->trace,
+                       inline_result ? job->payload.get() : nullptr);
 }
 
 void
@@ -480,25 +531,34 @@ Server::waitForJob(Job &job)
     }
 }
 
-std::shared_ptr<Server::Job>
-Server::findJobLocked(const std::string &id)
+std::optional<Server::Record>
+Server::findJobLocked(const std::string &id, std::shared_ptr<Job> *live)
 {
-    auto it = jobs_.find(id);
-    return it == jobs_.end() ? nullptr : it->second;
+    const std::uint64_t n = parseJobId(id);
+    if (auto it = live_.find(n); it != live_.end()) {
+        const Job &job = *it->second;
+        if (live != nullptr)
+            *live = it->second;
+        return Record{job.payload, keyBytes(job.keyHex), job.state};
+    }
+    if (auto it = records_.find(n); it != records_.end())
+        return it->second;
+    return std::nullopt;
 }
 
 std::string
 Server::handleStatus(const std::string &id)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::shared_ptr<Job> job = findJobLocked(id);
+    const std::optional<Record> job = findJobLocked(id);
     if (!job)
         return errorLine(ErrorCode::NotFound, "no job with id " + id);
     std::ostringstream out;
-    out << "{\"ok\":true,\"type\":\"status\",\"id\":\"" << job->id
+    out << "{\"ok\":true,\"type\":\"status\",\"id\":\"" << id
         << "\",\"state\":\"" << toString(job->state)
         << "\",\"cached\":" << (job->cached ? "true" : "false")
-        << ",\"cache_key\":\"" << job->key.hex << "\"}";
+        << ",\"cache_key\":\""
+        << std::string_view(job->key.data(), job->key.size()) << "\"}";
     return out.str();
 }
 
@@ -506,7 +566,7 @@ std::string
 Server::handleResult(const std::string &id)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::shared_ptr<Job> job = findJobLocked(id);
+    const std::optional<Record> job = findJobLocked(id);
     if (!job)
         return errorLine(ErrorCode::NotFound, "no job with id " + id);
     if (job->state == JobState::Cancelled)
@@ -516,9 +576,9 @@ Server::handleResult(const std::string &id)
         return errorLine(ErrorCode::NotReady,
                          "job " + id + " is " + toString(job->state));
     std::ostringstream out;
-    out << "{\"ok\":true,\"type\":\"result\",\"id\":\"" << job->id
+    out << "{\"ok\":true,\"type\":\"result\",\"id\":\"" << id
         << "\",\"cached\":" << (job->cached ? "true" : "false")
-        << ",\"result\":" << job->payload << "}";
+        << ",\"result\":" << job->payload->json() << "}";
     return out.str();
 }
 
@@ -526,28 +586,27 @@ std::string
 Server::handleCancel(const std::string &id)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::shared_ptr<Job> job = findJobLocked(id);
-    if (!job)
+    std::shared_ptr<Job> live;
+    const std::optional<Record> found = findJobLocked(id, &live);
+    if (!found)
         return errorLine(ErrorCode::NotFound, "no job with id " + id);
-    if (job->state == JobState::Queued) {
-        for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-            if (*it == job) {
-                queue_.erase(it);
-                break;
-            }
-        }
-        job->state = JobState::Cancelled;
-        job->cancelRequested.store(true);
-        finishJobLocked(*job);
-    } else if (job->state == JobState::Running) {
+    JobState state = found->state;
+    if (state == JobState::Queued) {
+        if (auto it = std::find(queue_.begin(), queue_.end(), live);
+            it != queue_.end())
+            queue_.erase(it);
+        live->state = state = JobState::Cancelled;
+        live->cancelRequested.store(true);
+        finishJobLocked(*live);
+    } else if (state == JobState::Running) {
         // The jobs-layer stop probe salvages completed repetitions;
         // the job still terminates as Done (cause Interrupted).
-        job->cancelRequested.store(true);
+        live->cancelRequested.store(true);
     }
     // Terminal states: cancel is idempotent; report where things are.
     std::ostringstream out;
-    out << "{\"ok\":true,\"type\":\"cancel\",\"id\":\"" << job->id
-        << "\",\"state\":\"" << toString(job->state) << "\"}";
+    out << "{\"ok\":true,\"type\":\"cancel\",\"id\":\"" << id
+        << "\",\"state\":\"" << toString(state) << "\"}";
     return out.str();
 }
 

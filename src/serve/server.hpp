@@ -32,6 +32,7 @@
 #ifndef SMQ_SERVE_SERVER_HPP
 #define SMQ_SERVE_SERVER_HPP
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -40,6 +41,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -169,26 +171,42 @@ class Server
     const ServerOptions &options() const { return options_; }
 
   private:
+    /**
+     * A job in flight (queued or running). Shared: the live map, the
+     * queue, an executing worker and a blocked `wait` submit each hold
+     * a reference, so retiring a job never frees one someone is
+     * still reading.
+     */
     struct Job
     {
-        std::string id;
+        std::uint64_t id = 0;
         SubmitSpec spec;
         core::BenchmarkPtr benchmark;
         const device::Device *device = nullptr;
-        CacheKey key;
+        std::string keyHex; ///< CacheKey::hex
         JobState state = JobState::Queued;
-        bool cached = false;      ///< payload came from the cache
-        bool interrupted = false; ///< salvaged under cancel/shutdown
         std::atomic<bool> cancelRequested{false};
-        std::string payload; ///< result JSON once state == Done
+        PayloadPtr payload; ///< result once state == Done
         /** Trace identity: adopted from the wire or derived from the
          *  spec; every span the job emits carries it. */
         obs::TraceContext trace;
-        /** Enqueue instant, for the `serve.queue_wait` span. Epoch
-         *  (zero) for cache hits, which never queue. */
+        /** Enqueue instant, for the `serve.queue_wait` span. */
         std::chrono::steady_clock::time_point enqueuedAt{};
         /** Trace-epoch timestamp of the enqueue (0 when tracing off). */
         std::uint64_t enqueueTraceNs = 0;
+    };
+
+    /**
+     * All a terminal job keeps for status/result/cancel, about 0.1 KB
+     * with its map node. The payload is shared with the cache entry
+     * that served or stored it.
+     */
+    struct Record
+    {
+        PayloadPtr payload; ///< null unless state == Done
+        std::array<char, 16> key{}; ///< CacheKey::hex
+        JobState state = JobState::Done;
+        bool cached = false; ///< payload came from the cache
     };
 
     std::string handleSubmit(const SubmitSpec &spec);
@@ -202,9 +220,12 @@ class Server
     void workerLoop();
     void executeJob(Job &job);
     void finishJobLocked(Job &job);
+    void retireLocked(std::uint64_t id, Record record);
     void waitForJob(Job &job);
-    std::shared_ptr<Job> findJobLocked(const std::string &id);
-    std::string submitReply(const Job &job, bool include_result) const;
+    /** Record of job @p id (a snapshot if live); @p live gets the job
+     *  while it is queued or running. */
+    std::optional<Record> findJobLocked(const std::string &id,
+                                        std::shared_ptr<Job> *live = nullptr);
 
     ServerOptions options_;
     std::vector<device::Device> devices_;
@@ -213,13 +234,11 @@ class Server
     mutable std::mutex mutex_;
     std::condition_variable workAvailable_;
     std::condition_variable jobDone_;
-    // Jobs are shared: the map owns the records subject to retention
-    // eviction, while the queue, an executing worker and a blocked
-    // `wait` submit each hold their own reference — eviction can
-    // never free a record someone is still reading.
     std::deque<std::shared_ptr<Job>> queue_;
-    std::map<std::string, std::shared_ptr<Job>> jobs_;
-    std::deque<std::string> terminalOrder_; ///< retention eviction order
+    std::map<std::uint64_t, std::shared_ptr<Job>> live_;
+    /** Terminal records, the newest options_.retainedJobs of them. */
+    std::map<std::uint64_t, Record> records_;
+    std::deque<std::uint64_t> terminalOrder_; ///< retention eviction order
     std::uint64_t nextId_ = 1;
     std::atomic<bool> stopping_{false};
     bool workersRunning_ = false;

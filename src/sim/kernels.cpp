@@ -132,33 +132,43 @@ usingAvx2()
 #endif
 }
 
-namespace detail {
+namespace {
+
+/**
+ * Threads a kernel touching @p elements may use; 1 means serial. The
+ * cheap serial cases come first — nested in a pool task without
+ * force, or below the element threshold — so most dispatches never
+ * read the job count.
+ */
+std::size_t
+kernelJobs(std::size_t elements)
+{
+    if ((util::inPoolTask() && !gForce.load(std::memory_order_relaxed)) ||
+        elements < gThreshold.load(std::memory_order_relaxed))
+        return 1;
+    return resolvedJobs();
+}
 
 void
-dispatchChunks(std::size_t count, std::size_t elements,
-               const std::function<void(std::size_t)> &task)
+serialChunks(std::size_t count, const std::function<void(std::size_t)> &task)
 {
-    if (count == 0)
-        return;
-    const std::size_t jobs = resolvedJobs();
-    const bool force = gForce.load(std::memory_order_relaxed);
-    const bool nested = util::inPoolTask() && !force;
-    if (count <= 1 || jobs <= 1 || nested ||
-        elements < gThreshold.load(std::memory_order_relaxed)) {
-        countSerial();
-        for (std::size_t c = 0; c < count; ++c)
-            task(c);
-        return;
-    }
+    countSerial();
+    for (std::size_t c = 0; c < count; ++c)
+        task(c);
+}
+
+/** Run task(chunk) for chunks [0, count) on the shared pool. */
+void
+poolChunks(std::size_t count, std::size_t jobs,
+           const std::function<void(std::size_t)> &task)
+{
     std::unique_lock<std::mutex> lock(gPoolMutex, std::defer_lock);
-    if (force) {
+    if (gForce.load(std::memory_order_relaxed)) {
         lock.lock();
     } else if (!lock.try_lock()) {
         // Another kernel owns the pool; running serially is always
         // correct (and byte-identical), so don't wait for it.
-        countSerial();
-        for (std::size_t c = 0; c < count; ++c)
-            task(c);
+        serialChunks(count, task);
         return;
     }
     const std::size_t workers = jobs - 1;
@@ -171,6 +181,23 @@ dispatchChunks(std::size_t count, std::size_t elements,
     gPool->parallelFor(count, task);
 }
 
+} // namespace
+
+namespace detail {
+
+void
+dispatchChunks(std::size_t count, std::size_t elements,
+               const std::function<void(std::size_t)> &task)
+{
+    if (count == 0)
+        return;
+    const std::size_t jobs = count == 1 ? 1 : kernelJobs(elements);
+    if (jobs <= 1)
+        serialChunks(count, task);
+    else
+        poolChunks(count, jobs, task);
+}
+
 } // namespace detail
 
 void
@@ -179,14 +206,21 @@ forEachRange(std::size_t n, std::size_t elements,
 {
     if (n == 0)
         return;
+    const std::size_t jobs = n == 1 ? 1 : kernelJobs(elements);
+    if (jobs <= 1) {
+        // One range: the bodies are elementwise, so the split never
+        // changes a result, and one call replaces jobs x 4.
+        countSerial();
+        body(0, n);
+        return;
+    }
     // Over-decompose mildly (4 tasks per job) so the atomic index
     // hand-off load-balances uneven ranges; the split itself never
     // affects results because ranges partition [0, n) exactly.
-    const std::size_t jobs = resolvedJobs();
-    const std::size_t tasks = std::min(n, std::max<std::size_t>(1, jobs * 4));
+    const std::size_t tasks = std::min(n, jobs * 4);
     const std::size_t base = n / tasks;
     const std::size_t rem = n % tasks;
-    detail::dispatchChunks(tasks, elements, [&](std::size_t t) {
+    poolChunks(tasks, jobs, [&](std::size_t t) {
         const std::size_t begin = t * base + std::min(t, rem);
         const std::size_t end = begin + base + (t < rem ? 1 : 0);
         body(begin, end);

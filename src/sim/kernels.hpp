@@ -93,8 +93,9 @@ bool usingAvx2();
  * pool task unless forced). @p elements is the number of state
  * elements the whole kernel touches — the cost measure the threshold
  * compares against, which may exceed @p n (a density-matrix row pair
- * is dim_ elements wide). Ranges are disjoint and cover [0, n), so
- * elementwise bodies are byte-identical to a serial sweep.
+ * is dim_ elements wide). A serial dispatch is one body(0, n) call;
+ * a parallel one splits [0, n) into at most jobs x 4 disjoint ranges
+ * that cover it, so elementwise bodies are byte-identical either way.
  */
 void forEachRange(std::size_t n, std::size_t elements,
                   const std::function<void(std::size_t, std::size_t)> &body);

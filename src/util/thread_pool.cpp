@@ -64,8 +64,14 @@ deriveTaskSeed(std::uint64_t base, std::uint64_t task)
 std::size_t
 defaultJobs()
 {
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : static_cast<std::size_t>(hw);
+    // hardware_concurrency() reads /sys/devices/system/cpu/online on
+    // every call (microseconds), and kernel dispatch asks for the
+    // default on every gate: resolve it once per process.
+    static const std::size_t jobs = [] {
+        const unsigned hw = std::thread::hardware_concurrency();
+        return hw == 0 ? std::size_t{1} : static_cast<std::size_t>(hw);
+    }();
+    return jobs;
 }
 
 ThreadPool::ThreadPool(std::size_t threads)

@@ -36,7 +36,10 @@ namespace smq::util {
  */
 std::uint64_t deriveTaskSeed(std::uint64_t base, std::uint64_t task);
 
-/** Thread count to use for "--jobs 0" / unspecified: the hardware. */
+/**
+ * Thread count to use for "--jobs 0" / unspecified: the hardware,
+ * resolved once per process (the query is a sysfs file read).
+ */
 std::size_t defaultJobs();
 
 /**

@@ -13,8 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <complex>
 #include <cstring>
+#include <mutex>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -403,6 +407,114 @@ TEST(KernelGuard, NestedKernelsDegradeToSerial)
     EXPECT_EQ(par_ops.value() - p1, 2u) << "force did not override guard";
 
     obs::setMetricsEnabled(false);
+}
+
+// ---------------------------------------------------------------------
+// Dispatch shape
+// ---------------------------------------------------------------------
+
+using Ranges = std::vector<std::pair<std::size_t, std::size_t>>;
+
+/** The [begin, end) ranges one forEachRange dispatch hands its body. */
+Ranges
+rangesOf(std::size_t n, std::size_t elements)
+{
+    std::mutex mutex;
+    Ranges ranges;
+    kernels::forEachRange(n, elements, [&](std::size_t b, std::size_t e) {
+        std::lock_guard<std::mutex> lock(mutex);
+        ranges.emplace_back(b, e);
+    });
+    std::sort(ranges.begin(), ranges.end());
+    return ranges;
+}
+
+TEST(KernelDispatch, SerialDispatchIsOneCallOverTheWholeRange)
+{
+    obs::setMetricsEnabled(true);
+    obs::Counter &ser_ops = obs::counter(obs::names::kSimKernelSerialOps);
+    kernels::KernelConfigGuard guard;
+    kernels::setKernelJobs(4);
+    const Ranges whole = {{0, 100}};
+
+    // Below the element threshold.
+    kernels::setKernelThreshold(1000);
+    std::uint64_t s0 = ser_ops.value();
+    EXPECT_EQ(rangesOf(100, 999), whole);
+    EXPECT_EQ(ser_ops.value() - s0, 1u);
+
+    // Inside a pool task, not forced.
+    kernels::setKernelThreshold(1);
+    Ranges nested[2];
+    s0 = ser_ops.value();
+    util::ThreadPool pool(1);
+    pool.parallelFor(2, [&](std::size_t i) {
+        nested[i] = rangesOf(100, 100000);
+    });
+    EXPECT_EQ(nested[0], whole);
+    EXPECT_EQ(nested[1], whole);
+    EXPECT_EQ(ser_ops.value() - s0, 2u);
+
+    obs::setMetricsEnabled(false);
+}
+
+TEST(KernelDispatch, ForcedParallelSplitsIntoAtMostFourRangesPerJob)
+{
+    obs::setMetricsEnabled(true);
+    obs::Counter &par_ops = obs::counter(obs::names::kSimKernelParallelOps);
+    kernels::KernelConfigGuard guard;
+    kernels::setKernelThreshold(1);
+    kernels::setForceParallel(true);
+
+    auto expectPartition = [](const Ranges &ranges, std::size_t n,
+                              std::size_t jobs) {
+        EXPECT_LE(ranges.size(), jobs * 4);
+        std::size_t next = 0;
+        for (const auto &[begin, end] : ranges) {
+            EXPECT_EQ(begin, next);
+            EXPECT_LT(begin, end);
+            next = end;
+        }
+        EXPECT_EQ(next, n);
+    };
+    for (std::size_t jobs : {2, 3, 4}) {
+        kernels::setKernelJobs(jobs);
+        for (std::size_t n : {2, 7, 12, 1000}) {
+            const std::uint64_t p0 = par_ops.value();
+            expectPartition(rangesOf(n, n), n, jobs);
+            EXPECT_EQ(par_ops.value() - p0, 1u) << jobs << " " << n;
+        }
+        // Force holds inside pool tasks too.
+        Ranges nested[2];
+        const std::uint64_t p0 = par_ops.value();
+        util::parallelFor(2, 2, [&](std::size_t i) {
+            nested[i] = rangesOf(1000, 1000);
+        });
+        EXPECT_EQ(par_ops.value() - p0, 2u);
+        expectPartition(nested[0], 1000, jobs);
+        expectPartition(nested[1], 1000, jobs);
+    }
+
+    obs::setMetricsEnabled(false);
+}
+
+TEST(KernelDispatch, DefaultJobsIsOneValueOnEveryThread)
+{
+    const std::size_t here = util::defaultJobs();
+    EXPECT_EQ(here,
+              std::max<std::size_t>(1, std::thread::hardware_concurrency()));
+    std::vector<std::size_t> seen(8, 0);
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < seen.size(); ++i)
+        threads.emplace_back([&seen, i] { seen[i] = util::defaultJobs(); });
+    for (std::thread &t : threads)
+        t.join();
+    for (std::size_t jobs : seen)
+        EXPECT_EQ(jobs, here);
+
+    kernels::KernelConfigGuard guard;
+    kernels::setKernelJobs(0); // 0 = the default
+    EXPECT_EQ(kernels::kernelConfig().jobs, here);
 }
 
 // ---------------------------------------------------------------------

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <malloc.h>
 #include <sys/wait.h>
 
 #include <chrono>
@@ -19,6 +20,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -237,6 +239,68 @@ TEST(ServeCache, ReinsertRefreshesPayload)
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(*hit, "new");
     EXPECT_EQ(cache.stats().entries, 1u);
+}
+
+/** A real result payload (the done job of the lifecycle script). */
+const std::string kSamplePayload =
+    "{\"schema\":\"smq-serve-result-v1\",\"benchmark\":\"ghz_3\","
+    "\"device\":\"AQT\",\"cache_key\":\"fbb1aaedb41febc9\","
+    "\"shots\":50,\"repetitions\":2,\"seed\":12345,\"status\":\"ok\","
+    "\"cause\":\"none\",\"scores\":[0.89090815370097232,"
+    "0.85895221179054437],\"mean\":0.87493018274575829,"
+    "\"stddev\":0.022596263224066996,\"error_bar_scale\":1,"
+    "\"planned_repetitions\":2,\"attempts\":2,"
+    "\"physical_two_qubit_gates\":2,\"swaps_inserted\":0,"
+    "\"plan\":\"density-matrix:exact-noise\",\"detail\":\"\"}";
+
+TEST(ServeCache, PackRoundTripsAnyBytes)
+{
+    std::vector<std::string> cases = {
+        "", std::string(1, '\0'), std::string("\x01\x13\x14\x1f", 4),
+        std::string("tail escape\0", 12), kSamplePayload,
+        kSamplePayload + std::string("\x02\0\x01", 3) + kSamplePayload,
+        "\"}\"}],\"mean\":"};
+    std::string every_byte;
+    for (int c = 0; c < 256; ++c)
+        every_byte.push_back(static_cast<char>(c));
+    cases.push_back(every_byte);
+    // Seeded strings mixing control bytes and field-text fragments.
+    const std::vector<std::string> pieces = {
+        std::string(1, '\0'), "\x05", "\x13", "\x1f", "\"", ",",
+        "\",\"device\":\"", ",\"seed\":", "\"}", "x", "0.5", "]"};
+    std::mt19937_64 rng(15);
+    for (int i = 0; i < 300; ++i) {
+        std::string text;
+        for (std::uint64_t n = rng() % 24; n > 0; --n)
+            text += pieces[rng() % pieces.size()];
+        cases.push_back(text);
+    }
+    for (const std::string &text : cases)
+        EXPECT_EQ(serve::unpackPayload(serve::packPayload(text)), text);
+
+    // The fixed field text packs to one byte per field.
+    EXPECT_LT(serve::packPayload(kSamplePayload).size(),
+              kSamplePayload.size() / 2);
+}
+
+TEST(ServeCache, PackedEntriesChargeAndReturnTheJsonBytes)
+{
+    const std::size_t entry = kSamplePayload.size() + 1 + 64;
+    serve::ResultCache cache(2 * entry); // two unpacked entries fit
+    cache.insert("a", kSamplePayload);
+    cache.insert("b", kSamplePayload);
+    EXPECT_EQ(cache.stats().bytes, 2 * entry);
+    EXPECT_EQ(cache.lookup("a"), kSamplePayload);
+    cache.insert("c", kSamplePayload); // evicts b although packed a+b+c fit
+    EXPECT_EQ(cache.stats().evictions, 1u);
+    EXPECT_FALSE(cache.lookup("b").has_value());
+
+    // Every hit shares the entry's buffer.
+    const serve::PayloadPtr first = cache.lookupPacked("a");
+    ASSERT_NE(first, nullptr);
+    EXPECT_EQ(cache.lookupPacked("a"), first);
+    EXPECT_EQ(first->json(), kSamplePayload);
+    EXPECT_EQ(first->size(), kSamplePayload.size());
 }
 
 // --- protocol parsing ------------------------------------------------
@@ -833,6 +897,297 @@ TEST(ServeServer, CancelRunningJobSalvagesAndNeverCaches)
     server.drain();
 }
 
+/** Every reply of a fixed lifecycle script over the four job kinds. */
+std::vector<std::string>
+lifecycleReplies()
+{
+    serve::ServerOptions options = manualOptions();
+    options.queueLimit = 8;
+    serve::Server server(options);
+    std::vector<std::string> replies;
+    auto send = [&](const std::string &line) {
+        replies.push_back(server.handle(line));
+    };
+    auto ask = [&](const char *type, const std::string &id) {
+        send(std::string("{\"type\":\"") + type + "\",\"id\":\"" + id +
+             "\"}");
+    };
+    auto askAll = [&](const std::string &id) {
+        ask("status", id);
+        ask("result", id);
+        ask("cancel", id);
+    };
+
+    // Live (queued): job-1 will finish, job-2 is cancelled while
+    // queued, job-3 will be interrupted.
+    send(submitLine("ghz_3", "AQT", false));
+    ask("status", "job-1");
+    ask("result", "job-1");
+    send(submitLine("ghz_4", "AQT", false));
+    ask("status", "job-2");
+    ask("result", "job-2");
+    ask("cancel", "job-2");
+    askAll("job-2");
+    send(submitLine("ghz_5", "IonQ", false));
+    ask("status", "job-3");
+
+    // Terminal: done, then interrupted (the stop flag is up before the
+    // job starts, so the salvage is deterministic: nothing ran).
+    EXPECT_TRUE(server.step());
+    askAll("job-1");
+    util::resetStopForTests();
+    util::requestStop();
+    EXPECT_TRUE(server.step());
+    util::resetStopForTests();
+    askAll("job-3");
+
+    // A cache hit is terminal at once; an interrupted result is never
+    // cached, so its repeat queues again.
+    send(submitLine("ghz_3", "AQT", true));
+    askAll("job-4");
+    send(submitLine("ghz_5", "IonQ", false));
+    ask("status", "job-5");
+    ask("cancel", "job-5");
+    askAll("job-5");
+
+    const obs::JsonValue stats =
+        parseReply(server.handle("{\"type\":\"stats\"}"));
+    const obs::JsonValue &jobs = stats.at("jobs");
+    replies.push_back("jobs " + std::to_string(jobs.at("queued").asU64()) +
+                      " " + std::to_string(jobs.at("running").asU64()) +
+                      " " + std::to_string(jobs.at("done").asU64()) + " " +
+                      std::to_string(jobs.at("cancelled").asU64()));
+    return replies;
+}
+
+/**
+ * The lifecycle script's replies as the daemon sent them before
+ * terminal jobs shrank to compact records: the wire bytes of status,
+ * result and cancel for done, cancelled-while-queued, interrupted and
+ * cached-hit jobs, while queued and once terminal. The last line is
+ * the stats job tallies (queued running done cancelled).
+ */
+const std::vector<std::string> kLifecycleReplies = {
+    "{\"ok\":true,\"type\":\"submit\",\"id\":\"job-1\","
+    "\"state\":\"queued\",\"cached\":false,"
+    "\"cache_key\":\"fbb1aaedb41febc9\","
+    "\"trace_id\":\"de7601a8f8f87b1c59e3183c113c21db\"}",
+    "{\"ok\":true,\"type\":\"status\",\"id\":\"job-1\","
+    "\"state\":\"queued\",\"cached\":false,"
+    "\"cache_key\":\"fbb1aaedb41febc9\"}",
+    "{\"ok\":false,\"error\":\"not_ready\","
+    "\"message\":\"job job-1 is queued\"}",
+    "{\"ok\":true,\"type\":\"submit\",\"id\":\"job-2\","
+    "\"state\":\"queued\",\"cached\":false,"
+    "\"cache_key\":\"e2913b23bc7e71a9\","
+    "\"trace_id\":\"efd425a6cde433cb03e6e5d2a2d9fc6a\"}",
+    "{\"ok\":true,\"type\":\"status\",\"id\":\"job-2\","
+    "\"state\":\"queued\",\"cached\":false,"
+    "\"cache_key\":\"e2913b23bc7e71a9\"}",
+    "{\"ok\":false,\"error\":\"not_ready\","
+    "\"message\":\"job job-2 is queued\"}",
+    "{\"ok\":true,\"type\":\"cancel\",\"id\":\"job-2\","
+    "\"state\":\"cancelled\"}",
+    "{\"ok\":true,\"type\":\"status\",\"id\":\"job-2\","
+    "\"state\":\"cancelled\",\"cached\":false,"
+    "\"cache_key\":\"e2913b23bc7e71a9\"}",
+    "{\"ok\":false,\"error\":\"cancelled\","
+    "\"message\":\"job job-2 was cancelled before running\"}",
+    "{\"ok\":true,\"type\":\"cancel\",\"id\":\"job-2\","
+    "\"state\":\"cancelled\"}",
+    "{\"ok\":true,\"type\":\"submit\",\"id\":\"job-3\","
+    "\"state\":\"queued\",\"cached\":false,"
+    "\"cache_key\":\"c56afb9fcdede6d8\","
+    "\"trace_id\":\"23526108c7376ff561859f8575a81c98\"}",
+    "{\"ok\":true,\"type\":\"status\",\"id\":\"job-3\","
+    "\"state\":\"queued\",\"cached\":false,"
+    "\"cache_key\":\"c56afb9fcdede6d8\"}",
+    "{\"ok\":true,\"type\":\"status\",\"id\":\"job-1\","
+    "\"state\":\"done\",\"cached\":false,"
+    "\"cache_key\":\"fbb1aaedb41febc9\"}",
+    "{\"ok\":true,\"type\":\"result\",\"id\":\"job-1\","
+    "\"cached\":false,"
+    "\"result\":{\"schema\":\"smq-serve-result-v1\","
+    "\"benchmark\":\"ghz_3\",\"device\":\"AQT\","
+    "\"cache_key\":\"fbb1aaedb41febc9\",\"shots\":50,"
+    "\"repetitions\":2,\"seed\":12345,\"status\":\"ok\","
+    "\"cause\":\"none\",\"scores\":[0.89090815370097232,"
+    "0.85895221179054437],\"mean\":0.87493018274575829,"
+    "\"stddev\":0.022596263224066996,\"error_bar_scale\":1,"
+    "\"planned_repetitions\":2,\"attempts\":2,"
+    "\"physical_two_qubit_gates\":2,\"swaps_inserted\":0,"
+    "\"plan\":\"density-matrix:exact-noise\",\"detail\":\"\"}}",
+    "{\"ok\":true,\"type\":\"cancel\",\"id\":\"job-1\","
+    "\"state\":\"done\"}",
+    "{\"ok\":true,\"type\":\"status\",\"id\":\"job-3\","
+    "\"state\":\"done\",\"cached\":false,"
+    "\"cache_key\":\"c56afb9fcdede6d8\"}",
+    "{\"ok\":true,\"type\":\"result\",\"id\":\"job-3\","
+    "\"cached\":false,"
+    "\"result\":{\"schema\":\"smq-serve-result-v1\","
+    "\"benchmark\":\"ghz_5\",\"device\":\"IonQ\","
+    "\"cache_key\":\"c56afb9fcdede6d8\",\"shots\":50,"
+    "\"repetitions\":2,\"seed\":12345,\"status\":\"skipped\","
+    "\"cause\":\"interrupted\",\"scores\":[],\"mean\":0,"
+    "\"stddev\":0,\"error_bar_scale\":1,\"planned_repetitions\":2,"
+    "\"attempts\":0,\"physical_two_qubit_gates\":0,"
+    "\"swaps_inserted\":0,\"plan\":\"\","
+    "\"detail\":\"shutdown requested before submission\"}}",
+    "{\"ok\":true,\"type\":\"cancel\",\"id\":\"job-3\","
+    "\"state\":\"done\"}",
+    "{\"ok\":true,\"type\":\"submit\",\"id\":\"job-4\","
+    "\"state\":\"done\",\"cached\":true,"
+    "\"cache_key\":\"fbb1aaedb41febc9\","
+    "\"trace_id\":\"de7601a8f8f87b1c59e3183c113c21db\","
+    "\"result\":{\"schema\":\"smq-serve-result-v1\","
+    "\"benchmark\":\"ghz_3\",\"device\":\"AQT\","
+    "\"cache_key\":\"fbb1aaedb41febc9\",\"shots\":50,"
+    "\"repetitions\":2,\"seed\":12345,\"status\":\"ok\","
+    "\"cause\":\"none\",\"scores\":[0.89090815370097232,"
+    "0.85895221179054437],\"mean\":0.87493018274575829,"
+    "\"stddev\":0.022596263224066996,\"error_bar_scale\":1,"
+    "\"planned_repetitions\":2,\"attempts\":2,"
+    "\"physical_two_qubit_gates\":2,\"swaps_inserted\":0,"
+    "\"plan\":\"density-matrix:exact-noise\",\"detail\":\"\"}}",
+    "{\"ok\":true,\"type\":\"status\",\"id\":\"job-4\","
+    "\"state\":\"done\",\"cached\":true,"
+    "\"cache_key\":\"fbb1aaedb41febc9\"}",
+    "{\"ok\":true,\"type\":\"result\",\"id\":\"job-4\","
+    "\"cached\":true,\"result\":{\"schema\":\"smq-serve-result-v1\","
+    "\"benchmark\":\"ghz_3\",\"device\":\"AQT\","
+    "\"cache_key\":\"fbb1aaedb41febc9\",\"shots\":50,"
+    "\"repetitions\":2,\"seed\":12345,\"status\":\"ok\","
+    "\"cause\":\"none\",\"scores\":[0.89090815370097232,"
+    "0.85895221179054437],\"mean\":0.87493018274575829,"
+    "\"stddev\":0.022596263224066996,\"error_bar_scale\":1,"
+    "\"planned_repetitions\":2,\"attempts\":2,"
+    "\"physical_two_qubit_gates\":2,\"swaps_inserted\":0,"
+    "\"plan\":\"density-matrix:exact-noise\",\"detail\":\"\"}}",
+    "{\"ok\":true,\"type\":\"cancel\",\"id\":\"job-4\","
+    "\"state\":\"done\"}",
+    "{\"ok\":true,\"type\":\"submit\",\"id\":\"job-5\","
+    "\"state\":\"queued\",\"cached\":false,"
+    "\"cache_key\":\"c56afb9fcdede6d8\","
+    "\"trace_id\":\"23526108c7376ff561859f8575a81c98\"}",
+    "{\"ok\":true,\"type\":\"status\",\"id\":\"job-5\","
+    "\"state\":\"queued\",\"cached\":false,"
+    "\"cache_key\":\"c56afb9fcdede6d8\"}",
+    "{\"ok\":true,\"type\":\"cancel\",\"id\":\"job-5\","
+    "\"state\":\"cancelled\"}",
+    "{\"ok\":true,\"type\":\"status\",\"id\":\"job-5\","
+    "\"state\":\"cancelled\",\"cached\":false,"
+    "\"cache_key\":\"c56afb9fcdede6d8\"}",
+    "{\"ok\":false,\"error\":\"cancelled\","
+    "\"message\":\"job job-5 was cancelled before running\"}",
+    "{\"ok\":true,\"type\":\"cancel\",\"id\":\"job-5\","
+    "\"state\":\"cancelled\"}",
+    "jobs 0 0 3 2",
+};
+
+TEST(ServeServer, LifecycleRepliesAreByteStable)
+{
+    const std::vector<std::string> replies = lifecycleReplies();
+    ASSERT_EQ(replies.size(), kLifecycleReplies.size());
+    for (std::size_t i = 0; i < replies.size(); ++i)
+        EXPECT_EQ(replies[i], kLifecycleReplies[i]) << "reply " << i;
+}
+
+TEST(ServeServer, EvictedAndNonCanonicalIdsAreNotFound)
+{
+    serve::ServerOptions options = manualOptions();
+    options.retainedJobs = 2;
+    serve::Server server(options);
+    for (int i = 0; i < 3; ++i) // a miss, then two hits; job-1 retires
+        ASSERT_TRUE(replyOk(server.handle(submitLine("ghz_3", "AQT", true))));
+
+    const std::vector<std::string> unknown = {
+        "job-1",  "job-01", "job-+2", "job--2", "job- 2", "job-2 ",
+        " job-2", "job-",   "job-0",  "JOB-2",  "job-2.0", "job-0x2", "2",
+        "job-18446744073709551618", // 2^64 + 2 must not wrap onto job-2
+        "job-99999999999999999999999"};
+    for (const std::string &id : unknown) {
+        for (const char *type : {"status", "result", "cancel"}) {
+            EXPECT_EQ(server.handle(std::string("{\"type\":\"") + type +
+                                    "\",\"id\":\"" + id + "\"}"),
+                      serve::errorLine(serve::ErrorCode::NotFound,
+                                       "no job with id " + id))
+                << type << " " << id;
+        }
+    }
+    for (const char *id : {"job-2", "job-3"}) {
+        const std::string status = server.handle(
+            std::string("{\"type\":\"status\",\"id\":\"") + id + "\"}");
+        EXPECT_EQ(replyField(status, "state"), "done") << status;
+    }
+    const obs::JsonValue jobs =
+        parseReply(server.handle("{\"type\":\"stats\"}")).at("jobs");
+    EXPECT_EQ(jobs.at("done").asU64(), 2u);
+    EXPECT_EQ(jobs.at("queued").asU64() + jobs.at("running").asU64() +
+                  jobs.at("cancelled").asU64(),
+              0u);
+}
+
+TEST(ServeServer, PackRoundTripsEveryReplyOfASeededSweep)
+{
+    const std::vector<std::string> names = {
+        "ghz_3", "ghz_5", "mermin_bell_3", "bit_code_3d2r",
+        "phase_code_2d1r", "hamiltonian_sim_3q2s", "vqe_3",
+        "qaoa_vanilla_3"};
+    const std::vector<device::Device> devices = device::allDevices();
+    serve::Server server(manualOptions());
+    std::mt19937_64 rng(2022);
+    for (int i = 0; i < 12; ++i) {
+        std::ostringstream line;
+        line << "{\"type\":\"submit\",\"benchmark\":\""
+             << names[rng() % names.size()] << "\",\"device\":\""
+             << devices[rng() % devices.size()].name
+             << "\",\"shots\":20,\"repetitions\":1,\"seed\":"
+             << rng() % 1000 << ",\"faults\":" << (i % 3 == 0 ? "true" : "false")
+             << ",\"wait\":true}";
+        const std::string reply = server.handle(line.str());
+        ASSERT_TRUE(replyOk(reply)) << reply;
+        const std::string payload = resultObjectText(reply);
+        ASSERT_FALSE(payload.empty()) << reply;
+        EXPECT_EQ(serve::unpackPayload(serve::packPayload(reply)), reply);
+        EXPECT_EQ(serve::unpackPayload(serve::packPayload(payload)),
+                  payload);
+    }
+}
+
+/** glibc's count of heap bytes in use. */
+double
+heapBytesInUse()
+{
+    return static_cast<double>(mallinfo2().uordblks);
+}
+
+TEST(ServeServer, RetainedHeapPerRequestStaysCompact)
+{
+    // Manual mode: every request runs on this thread, so the heap the
+    // daemon keeps per request is the growth of glibc's in-use bytes.
+    serve::Server server(manualOptions());
+    auto perRequest = [&](int warm, int count, auto line_of) {
+        for (int i = 0; i < warm; ++i)
+            server.handle(line_of(i));
+        const double before = heapBytesInUse();
+        for (int i = warm; i < warm + count; ++i)
+            server.handle(line_of(i));
+        return (heapBytesInUse() - before) / count;
+    };
+    const double per_hit = perRequest(200, 2000, [](int) {
+        return submitLine("ghz_3", "AQT", true);
+    });
+    const double per_miss = perRequest(100, 400, [](int i) {
+        std::string line = submitLine("ghz_3", "AQT", true, 20, 1);
+        line.insert(line.size() - 1,
+                    ",\"seed\":" + std::to_string(1000 + i));
+        return line;
+    });
+    // A record is about 0.1 KB; a miss adds its packed cache entry.
+    EXPECT_LE(per_hit, 160.0);
+    EXPECT_LE(per_miss, 600.0);
+}
+
 // --- pipe-mode CLI ---------------------------------------------------
 
 TEST(ServeCli, PipeModeEndToEnd)
@@ -931,6 +1286,35 @@ TEST(ServeCli, UsageErrors)
                                  "zero"},
                                 out, err),
               serve::kSubmitUsage);
+}
+
+TEST(ServeCli, CacheMbPastTheAddressSpaceIsAUsageError)
+{
+    // N MiB = N << 20 bytes, which wraps a 64-bit size for N >= 2^44.
+    for (const char *mb : {"17592186044416", "17592186044417",
+                           "18446744073709551615"}) {
+        std::istringstream in("{\"type\":\"stats\"}\n");
+        std::ostringstream out, err;
+        EXPECT_EQ(serve::serveMain({"--pipe", "--cache-mb", mb}, in, out,
+                                   err),
+                  serve::kServeUsage)
+            << mb;
+        EXPECT_NE(err.str().find("bad --cache-mb value"), std::string::npos)
+            << err.str();
+        EXPECT_TRUE(out.str().empty()) << out.str();
+    }
+
+    // The largest value that fits serves, with its exact budget.
+    std::istringstream in("{\"type\":\"stats\"}\n{\"type\":\"shutdown\"}\n");
+    std::ostringstream out, err;
+    EXPECT_EQ(serve::serveMain({"--pipe", "--cache-mb", "17592186044415",
+                                "--workers", "1", "--no-metrics"},
+                               in, out, err),
+              serve::kServeOk)
+        << err.str();
+    EXPECT_NE(out.str().find("\"budget_bytes\":18446744073708503040"),
+              std::string::npos)
+        << out.str();
 }
 
 // --- doc closure -----------------------------------------------------
