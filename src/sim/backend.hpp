@@ -49,6 +49,12 @@ const char *toString(BackendKind kind);
 /** Inverse of toString; nullopt for an unknown token. */
 std::optional<BackendKind> backendFromString(const std::string &token);
 
+/** Widest register the dense statevector engine holds (StateVector). */
+inline constexpr std::size_t kStatevectorHardCap = 26;
+
+/** Widest register the dense density matrix holds (DensityMatrix). */
+inline constexpr std::size_t kDensityMatrixHardCap = 11;
+
 /**
  * Planner knobs. Defaults encode "cheapest faithful": exact density
  * matrices are only chosen while 4^n work beats the trajectory
@@ -62,11 +68,9 @@ struct PlannerConfig
     /**
      * Widest register the exact density-matrix engine is planned for;
      * noisy terminal circuits above it fall to trajectory sampling.
-     * Clamped to the engine's hard cap (11 qubits).
+     * Clamped to kDensityMatrixHardCap.
      */
     std::size_t maxDensityMatrixQubits = 6;
-    /** Dense statevector hard cap (matches StateVector's 26). */
-    std::size_t maxStatevectorQubits = 26;
 };
 
 /**

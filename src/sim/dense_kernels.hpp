@@ -1,0 +1,143 @@
+/**
+ * @file
+ * Dense gate kernels shared by the two dense engines (internal: only
+ * statevector.cpp and density_matrix.cpp include this header).
+ *
+ * Every kernel works on `size` amplitudes addressed by index bits,
+ * and the caller decides what the bits mean. A StateVector's qubits
+ * are the low n bits, with StateLanes' lane number above them; a
+ * DensityMatrix is a 2n-qubit vector whose column qubit q is bit q
+ * and row qubit q is bit n + q. A kernel only combines indices that
+ * differ in the bits it is given, so it never mixes two lanes.
+ *
+ * The kernels do not bump sim.kernel.simd_*: a caller records one
+ * SIMD path per gate it applies, however many kernel calls that gate
+ * takes.
+ */
+
+#ifndef SMQ_SIM_DENSE_KERNELS_HPP
+#define SMQ_SIM_DENSE_KERNELS_HPP
+
+#include <algorithm>
+#include <cstddef>
+#include <utility>
+
+#include "qc/gate.hpp"
+#include "sim/gate_matrices.hpp"
+#include "sim/kernels.hpp"
+#include "sim/simd.hpp"
+
+namespace smq::sim::dense {
+
+/**
+ * Spread the bits of @p k around one zero slot at bit position p:
+ * index k of the pair subspace -> full index with bit p clear.
+ */
+inline std::size_t
+expand1(std::size_t k, std::size_t p)
+{
+    return ((k >> p) << (p + 1)) | (k & ((std::size_t{1} << p) - 1));
+}
+
+/** Two zero slots at bit positions p0 < p1. */
+inline std::size_t
+expand2(std::size_t k, std::size_t p0, std::size_t p1)
+{
+    std::size_t x = expand1(k, p0);
+    return ((x >> p1) << (p1 + 1)) | (x & ((std::size_t{1} << p1) - 1));
+}
+
+/**
+ * Spread the bits of @p k around three zero slots at bit positions
+ * p0 < p1 < p2: enumerates the subspace with those three bits fixed
+ * at 0 without scanning (and branching on) every index.
+ */
+inline std::size_t
+expand3(std::size_t k, std::size_t p0, std::size_t p1, std::size_t p2)
+{
+    std::size_t x = expand2(k, p0, p1);
+    return ((x >> p2) << (p2 + 1)) | (x & ((std::size_t{1} << p2) - 1));
+}
+
+inline void
+sort3(std::size_t &a, std::size_t &b, std::size_t &c)
+{
+    if (a > b)
+        std::swap(a, b);
+    if (b > c)
+        std::swap(b, c);
+    if (a > b)
+        std::swap(a, b);
+}
+
+/**
+ * fn(i0, len) over the bit-q pair runs of pair indices [pb, pe):
+ * amplitudes [i0, i0 + len) have bit q clear and their partners
+ * [i0 + 2^q, i0 + 2^q + len) have it set.
+ */
+template <typename Fn>
+inline void
+forPairRuns(std::size_t pb, std::size_t pe, std::size_t q, const Fn &fn)
+{
+    const std::size_t stride = std::size_t{1} << q;
+    std::size_t p = pb;
+    while (p < pe) {
+        const std::size_t run = std::min(stride - (p & (stride - 1)), pe - p);
+        fn(expand1(p, q), run);
+        p += run;
+    }
+}
+
+/**
+ * Apply the 2x2 matrix matrix_of(i0) to each bit-q pair (i0 the
+ * amplitude with q clear); nullptr leaves the pair untouched.
+ */
+template <typename MatrixOf>
+void
+matrix1Kernel(Complex *amps, std::size_t size, std::size_t q,
+              const MatrixOf &matrix_of)
+{
+    const std::size_t stride = std::size_t{1} << q;
+    // Pair index p enumerates the bit-q=0 subspace; consecutive p
+    // with the same high bits form contiguous amplitude runs of
+    // length `stride`, which the SIMD primitive consumes whole.
+    kernels::forEachRange(
+        size / 2, size, [&](std::size_t pb, std::size_t pe) {
+            if (stride < 4) {
+                for (std::size_t p = pb; p < pe; ++p) {
+                    const std::size_t i0 = expand1(p, q);
+                    const Matrix2 *m = matrix_of(i0);
+                    if (m == nullptr)
+                        continue;
+                    const Complex a0 = amps[i0];
+                    const Complex a1 = amps[i0 + stride];
+                    amps[i0] = kernels::coeffMul((*m)[0], a0) +
+                               kernels::coeffMul((*m)[1], a1);
+                    amps[i0 + stride] = kernels::coeffMul((*m)[2], a0) +
+                                        kernels::coeffMul((*m)[3], a1);
+                }
+                return;
+            }
+            forPairRuns(pb, pe, q, [&](std::size_t i0, std::size_t run) {
+                if (const Matrix2 *m = matrix_of(i0))
+                    kernels::pairTransform(amps + i0, amps + i0 + stride,
+                                           run, *m);
+            });
+        });
+}
+
+/** Apply a two-qubit matrix (basis |b0 b1>, see gate_matrices). */
+void matrix2Kernel(Complex *amps, std::size_t size, std::size_t q0,
+                   std::size_t q1, const Matrix4 &m);
+
+/**
+ * Apply one unitary gate, its qubits read as index bits (CCX / CSWAP
+ * as basis permutations). @throws for MEASURE / RESET / BARRIER, bad
+ * arity, or a 1q/2q operand that is duplicate or not below @p n.
+ */
+void gateKernel(Complex *amps, std::size_t size, std::size_t n,
+                const qc::Gate &gate);
+
+} // namespace smq::sim::dense
+
+#endif // SMQ_SIM_DENSE_KERNELS_HPP

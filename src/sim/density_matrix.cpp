@@ -6,59 +6,27 @@
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "qc/schedule.hpp"
+#include "sim/backend.hpp"
+#include "sim/dense_kernels.hpp"
 #include "sim/kernels.hpp"
 #include "sim/memory.hpp"
 #include "sim/simd.hpp"
+#include "sim/statevector.hpp"
 
 namespace smq::sim {
 
 namespace {
-constexpr std::size_t kMaxQubits = 11;
 
-/** One kernel application (1q/2q conjugation or 3q permutation). */
+using dense::expand1;
+using dense::expand2;
+
+/** One DM apply: a 1q/2q conjugation, a 3q permutation or a channel. */
 inline void
 countDmKernel()
 {
     static obs::Counter &applies =
         obs::counter(obs::names::kSimDmGateApplies);
     applies.add();
-}
-
-/**
- * Spread the bits of @p k around one zero slot at bit position p:
- * index k of the reduced space -> full index with bit p clear.
- */
-inline std::size_t
-expand1(std::size_t k, std::size_t p)
-{
-    return ((k >> p) << (p + 1)) | (k & ((std::size_t{1} << p) - 1));
-}
-
-/** Two zero slots at bit positions p0 < p1. */
-inline std::size_t
-expand2(std::size_t k, std::size_t p0, std::size_t p1)
-{
-    std::size_t x = expand1(k, p0);
-    return ((x >> p1) << (p1 + 1)) | (x & ((std::size_t{1} << p1) - 1));
-}
-
-/** Three zero slots at bit positions p0 < p1 < p2. */
-inline std::size_t
-expand3(std::size_t k, std::size_t p0, std::size_t p1, std::size_t p2)
-{
-    std::size_t x = expand2(k, p0, p1);
-    return ((x >> p2) << (p2 + 1)) | (x & ((std::size_t{1} << p2) - 1));
-}
-
-void
-sort3(std::size_t &a, std::size_t &b, std::size_t &c)
-{
-    if (a > b)
-        std::swap(a, b);
-    if (b > c)
-        std::swap(b, c);
-    if (a > b)
-        std::swap(a, b);
 }
 
 } // namespace
@@ -68,7 +36,7 @@ DensityMatrix::DensityMatrix(std::size_t num_qubits)
 {
     // Validate before sizing: the 1 << n the old initialiser ran was
     // undefined behaviour for n >= 64 (and meaningless past the cap).
-    if (num_qubits > kMaxQubits)
+    if (num_qubits > kDensityMatrixHardCap)
         throw std::invalid_argument(
             "DensityMatrix: too many qubits for dense simulation");
     dim_ = std::size_t{1} << num_qubits;
@@ -102,48 +70,16 @@ DensityMatrix::applyMatrix1(std::size_t q, const Matrix2 &u)
     checkQubit(q);
     countDmKernel();
     kernels::recordSimdPath();
-    const std::size_t stride = std::size_t{1} << q;
-    Complex *rho = rho_.data();
-    // Left multiply rho <- U rho: each row pair is two full contiguous
-    // rows, the ideal shape for the SIMD pair primitive; the pair
-    // index space splits across the pool.
-    kernels::forEachRange(
-        dim_ / 2, dim_ * dim_, [&](std::size_t pb, std::size_t pe) {
-            for (std::size_t p = pb; p < pe; ++p) {
-                Complex *row0 = rho + expand1(p, q) * dim_;
-                kernels::pairTransform(row0, row0 + stride * dim_, dim_,
-                                       u);
-            }
-        });
-    // Right multiply rho <- rho U^dagger: within each row the column
-    // pairs form contiguous runs of `stride`; rows split across the
-    // pool. new[c0] = a0 conj(u00) + a1 conj(u01) etc., i.e. a plain
-    // pair transform by the entrywise conjugate of u.
+    // rho <- U rho on row bit n + q, then rho <- rho U^dagger on column
+    // bit q: (rho U^dagger)[r][c] = sum_k conj(u[c][k]) rho[r][k], so
+    // the column bit takes the entrywise conjugate of U, not its
+    // transpose.
     const Matrix2 d = {std::conj(u[0]), std::conj(u[1]), std::conj(u[2]),
                        std::conj(u[3])};
-    kernels::forEachRange(
-        dim_, dim_ * dim_, [&](std::size_t rb, std::size_t re) {
-            for (std::size_t r = rb; r < re; ++r) {
-                Complex *row = rho + r * dim_;
-                if (stride < 4) {
-                    for (std::size_t p = 0; p < dim_ / 2; ++p) {
-                        const std::size_t c0 = expand1(p, q);
-                        const Complex a0 = row[c0];
-                        const Complex a1 = row[c0 + stride];
-                        row[c0] = kernels::coeffMul(d[0], a0) +
-                                  kernels::coeffMul(d[1], a1);
-                        row[c0 + stride] = kernels::coeffMul(d[2], a0) +
-                                           kernels::coeffMul(d[3], a1);
-                    }
-                    continue;
-                }
-                for (std::size_t base = 0; base < dim_;
-                     base += 2 * stride) {
-                    kernels::pairTransform(row + base, row + base + stride,
-                                           stride, d);
-                }
-            }
-        });
+    dense::matrix1Kernel(rho_.data(), rho_.size(), numQubits_ + q,
+                         [&u](std::size_t) { return &u; });
+    dense::matrix1Kernel(rho_.data(), rho_.size(), q,
+                         [&d](std::size_t) { return &d; });
 }
 
 void
@@ -155,71 +91,12 @@ DensityMatrix::applyMatrix2(std::size_t q0, std::size_t q1, const Matrix4 &u)
         throw std::invalid_argument("DensityMatrix: duplicate qubit");
     countDmKernel();
     kernels::recordSimdPath();
-    const std::size_t s0 = std::size_t{1} << q0;
-    const std::size_t s1 = std::size_t{1} << q1;
-    std::size_t p0 = q0, p1 = q1;
-    if (p0 > p1)
-        std::swap(p0, p1);
-    const std::size_t sLow = std::size_t{1} << p0;
-    Complex *rho = rho_.data();
-
-    // Left multiply rho <- U rho: 4-row groups of full contiguous rows.
-    kernels::forEachRange(
-        dim_ / 4, dim_ * dim_, [&](std::size_t kb, std::size_t ke) {
-            for (std::size_t k = kb; k < ke; ++k) {
-                const std::size_t idx = expand2(k, p0, p1);
-                kernels::quadTransform(rho + idx * dim_,
-                                       rho + (idx + s1) * dim_,
-                                       rho + (idx + s0) * dim_,
-                                       rho + (idx + s0 + s1) * dim_,
-                                       dim_, u);
-            }
-        });
-
-    // Right multiply rho <- rho U^dagger: entrywise-conjugated matrix,
-    // column quads in contiguous runs of sLow, rows split across the
-    // pool.
     Matrix4 d;
     for (std::size_t k = 0; k < 16; ++k)
         d[k] = std::conj(u[k]);
-    kernels::forEachRange(
-        dim_, dim_ * dim_, [&](std::size_t rb, std::size_t re) {
-            for (std::size_t r = rb; r < re; ++r) {
-                Complex *row = rho + r * dim_;
-                if (sLow < 4) {
-                    for (std::size_t k = 0; k < dim_ / 4; ++k) {
-                        const std::size_t idx = expand2(k, p0, p1);
-                        const Complex a0 = row[idx];
-                        const Complex a1 = row[idx + s1];
-                        const Complex a2 = row[idx + s0];
-                        const Complex a3 = row[idx + s0 + s1];
-                        for (std::size_t rr = 0; rr < 4; ++rr) {
-                            Complex acc =
-                                kernels::coeffMul(d[rr * 4 + 0], a0);
-                            acc = acc +
-                                  kernels::coeffMul(d[rr * 4 + 1], a1);
-                            acc = acc +
-                                  kernels::coeffMul(d[rr * 4 + 2], a2);
-                            acc = acc +
-                                  kernels::coeffMul(d[rr * 4 + 3], a3);
-                            row[idx + (rr & 2 ? s0 : 0) +
-                                (rr & 1 ? s1 : 0)] = acc;
-                        }
-                    }
-                    continue;
-                }
-                std::size_t k = 0;
-                while (k < dim_ / 4) {
-                    const std::size_t run =
-                        std::min(sLow - (k & (sLow - 1)), dim_ / 4 - k);
-                    const std::size_t idx = expand2(k, p0, p1);
-                    kernels::quadTransform(row + idx, row + idx + s1,
-                                           row + idx + s0,
-                                           row + idx + s0 + s1, run, d);
-                    k += run;
-                }
-            }
-        });
+    dense::matrix2Kernel(rho_.data(), rho_.size(), numQubits_ + q0,
+                         numQubits_ + q1, u);
+    dense::matrix2Kernel(rho_.data(), rho_.size(), q0, q1, d);
 }
 
 void
@@ -227,49 +104,16 @@ DensityMatrix::applyGate(const qc::Gate &gate)
 {
     using qc::GateType;
     if (gate.type == GateType::CCX || gate.type == GateType::CSWAP) {
+        for (qc::Qubit q : gate.qubits)
+            checkQubit(q);
         countDmKernel();
-        // Both permutations are involutions pairing index m with
-        // m ^ flip inside a selected subspace, so rho <- P rho P^T is
-        // two in-place swap sweeps (rows, then columns per row) — no
-        // 4^n scratch copy.
-        std::size_t sel0, sel1, flip;
-        if (gate.type == GateType::CCX) {
-            sel0 = std::size_t{1} << gate.qubits[0];
-            sel1 = std::size_t{1} << gate.qubits[1];
-            flip = std::size_t{1} << gate.qubits[2];
-        } else {
-            sel0 = std::size_t{1} << gate.qubits[0];
-            sel1 = std::size_t{1} << gate.qubits[1]; // a=1, b=0 side
-            flip = (std::size_t{1} << gate.qubits[1]) |
-                   (std::size_t{1} << gate.qubits[2]);
-        }
-        std::size_t p0 = gate.qubits[0], p1 = gate.qubits[1],
-                    p2 = gate.qubits[2];
-        sort3(p0, p1, p2);
-        const std::size_t sub = dim_ >> 3;
-        Complex *rho = rho_.data();
-        kernels::forEachRange(
-            sub, dim_ * dim_ / 4, [&](std::size_t kb, std::size_t ke) {
-                for (std::size_t k = kb; k < ke; ++k) {
-                    const std::size_t r =
-                        expand3(k, p0, p1, p2) | sel0 | sel1;
-                    Complex *rowA = rho + r * dim_;
-                    Complex *rowB = rho + (r ^ flip) * dim_;
-                    for (std::size_t c = 0; c < dim_; ++c)
-                        std::swap(rowA[c], rowB[c]);
-                }
-            });
-        kernels::forEachRange(
-            dim_, dim_ * dim_ / 4, [&](std::size_t rb, std::size_t re) {
-                for (std::size_t r = rb; r < re; ++r) {
-                    Complex *row = rho + r * dim_;
-                    for (std::size_t k = 0; k < sub; ++k) {
-                        const std::size_t c =
-                            expand3(k, p0, p1, p2) | sel0 | sel1;
-                        std::swap(row[c], row[c ^ flip]);
-                    }
-                }
-            });
+        // rho <- P rho P^T for a real permutation P: the statevector's
+        // in-place swap sweep on the row bits, then on the column bits.
+        qc::Gate rows = gate;
+        for (qc::Qubit &q : rows.qubits)
+            q += static_cast<qc::Qubit>(numQubits_);
+        dense::gateKernel(rho_.data(), rho_.size(), 2 * numQubits_, rows);
+        dense::gateKernel(rho_.data(), rho_.size(), 2 * numQubits_, gate);
         return;
     }
     if (gate.qubits.size() == 1) {
@@ -297,53 +141,6 @@ DensityMatrix::applyFused(const std::vector<FusedOp> &ops)
             break;
         }
     }
-}
-
-void
-DensityMatrix::applyKraus1(std::size_t q, const std::vector<Matrix2> &kraus)
-{
-    checkQubit(q);
-    countDmKernel();
-    // Single fused pass: each (row-pair, column-pair) block B of the
-    // q subsystem maps to sum_k K B K^dagger independently of every
-    // other block, so no saved/accumulator copies of rho are needed
-    // (the old implementation re-copied rho once per Kraus operator).
-    const std::size_t stride = std::size_t{1} << q;
-    Complex *rho = rho_.data();
-    kernels::forEachRange(
-        dim_ / 2, dim_ * dim_, [&](std::size_t pb, std::size_t pe) {
-            for (std::size_t p = pb; p < pe; ++p) {
-                const std::size_t r0 = expand1(p, q);
-                Complex *row0 = rho + r0 * dim_;
-                Complex *row1 = row0 + stride * dim_;
-                for (std::size_t cp = 0; cp < dim_ / 2; ++cp) {
-                    const std::size_t c0 = expand1(cp, q);
-                    const std::size_t c1 = c0 + stride;
-                    const Complex b00 = row0[c0], b01 = row0[c1];
-                    const Complex b10 = row1[c0], b11 = row1[c1];
-                    Complex n00{}, n01{}, n10{}, n11{};
-                    for (const Matrix2 &k : kraus) {
-                        // t = K B, then accumulate t K^dagger
-                        const Complex t00 = k[0] * b00 + k[1] * b10;
-                        const Complex t01 = k[0] * b01 + k[1] * b11;
-                        const Complex t10 = k[2] * b00 + k[3] * b10;
-                        const Complex t11 = k[2] * b01 + k[3] * b11;
-                        n00 += t00 * std::conj(k[0]) +
-                               t01 * std::conj(k[1]);
-                        n01 += t00 * std::conj(k[2]) +
-                               t01 * std::conj(k[3]);
-                        n10 += t10 * std::conj(k[0]) +
-                               t11 * std::conj(k[1]);
-                        n11 += t10 * std::conj(k[2]) +
-                               t11 * std::conj(k[3]);
-                    }
-                    row0[c0] = n00;
-                    row0[c1] = n01;
-                    row1[c0] = n10;
-                    row1[c1] = n11;
-                }
-            }
-        });
 }
 
 void
@@ -456,8 +253,8 @@ DensityMatrix::thermalRelax(std::size_t q, double gamma, double pz)
     // closed form per q-subsystem block:
     //   b00' = b00 + gamma b11        b01' = s z b01
     //   b10' = s z b10                b11' = (1 - gamma) b11
-    // with s = sqrt(1 - gamma), z = 1 - 2 pz. One pass replaces the
-    // two applyKraus1 channels of the idle-noise hot loop.
+    // with s = sqrt(1 - gamma), z = 1 - 2 pz: one pass instead of two
+    // Kraus channels in the idle-noise hot loop.
     const double s = std::sqrt(1.0 - gamma);
     const double coh = s * (1.0 - 2.0 * pz);
     const double keep = 1.0 - gamma;
@@ -517,51 +314,17 @@ DensityMatrix::probabilities() const
 stats::Distribution
 noisyDistribution(const qc::Circuit &circuit, const NoiseModel &noise)
 {
-    // Terminal measurements only; mirror the runner's moment loop.
-    std::vector<std::ptrdiff_t> clbit_source(circuit.numClbits(), -1);
-    qc::Circuit body(circuit.numQubits());
-    std::vector<bool> measured_qubit(circuit.numQubits(), false);
-    for (const qc::Gate &g : circuit.gates()) {
-        if (g.type == qc::GateType::MEASURE) {
-            clbit_source[static_cast<std::size_t>(g.cbit)] =
-                static_cast<std::ptrdiff_t>(g.qubits[0]);
-            measured_qubit[g.qubits[0]] = true;
-            continue;
-        }
-        if (g.type == qc::GateType::RESET)
-            throw std::invalid_argument(
-                "noisyDistribution: RESET not supported (use trajectories)");
-        for (qc::Qubit q : g.qubits) {
-            if (measured_qubit[q])
-                throw std::invalid_argument(
-                    "noisyDistribution: non-terminal measurement");
-        }
-        body.append(g);
-    }
-
+    const TerminalSplit split = splitTerminal(circuit);
     DensityMatrix rho(circuit.numQubits());
     if (!noise.enabled) {
         // No per-gate channels to interleave: fuse single-qubit runs
         // and apply the compact sequence in one go.
-        rho.applyFused(fuseUnitaryCircuit(body));
-        std::vector<double> probs = rho.probabilities();
-        stats::Distribution dist;
-        for (std::size_t s = 0; s < probs.size(); ++s) {
-            if (probs[s] < 1e-15)
-                continue;
-            std::string key(circuit.numClbits(), '0');
-            for (std::size_t c = 0; c < circuit.numClbits(); ++c) {
-                if (clbit_source[c] >= 0 &&
-                    (s >> static_cast<std::size_t>(clbit_source[c])) & 1) {
-                    key[c] = '1';
-                }
-            }
-            dist.add(key, probs[s]);
-        }
-        return dist;
+        rho.applyFused(fuseUnitaryCircuit(split.body));
+        return clbitDistribution(rho.probabilities(), split.clbitSource);
     }
-    qc::Schedule sched = qc::schedule(body);
-    const auto &gates = body.gates();
+    // Mirror the trajectory runner's moment loop.
+    qc::Schedule sched = qc::schedule(split.body);
+    const auto &gates = split.body.gates();
     std::vector<bool> active(circuit.numQubits(), false);
     for (const auto &moment : sched.moments) {
         double duration = 0.0;
@@ -574,14 +337,12 @@ noisyDistribution(const qc::Circuit &circuit, const NoiseModel &noise)
             for (qc::Qubit q : g.qubits)
                 active[q] = true;
             rho.applyGate(g);
-            if (noise.enabled) {
-                if (g.qubits.size() == 1)
-                    rho.depolarize1(g.qubits[0], noise.p1);
-                else if (g.qubits.size() == 2)
-                    rho.depolarize2(g.qubits[0], g.qubits[1], noise.p2);
-            }
+            if (g.qubits.size() == 1)
+                rho.depolarize1(g.qubits[0], noise.p1);
+            else if (g.qubits.size() == 2)
+                rho.depolarize2(g.qubits[0], g.qubits[1], noise.p2);
         }
-        if (noise.enabled && duration > 0.0) {
+        if (duration > 0.0) {
             const IdleChannel idle = noise.idleChannel(duration);
             for (std::size_t q = 0; q < circuit.numQubits(); ++q) {
                 if (!active[q])
@@ -592,9 +353,14 @@ noisyDistribution(const qc::Circuit &circuit, const NoiseModel &noise)
 
     std::vector<double> probs = rho.probabilities();
     // Readout error: independent classical flips on measured qubits.
-    if (noise.enabled && noise.pMeas > 0.0) {
+    if (noise.pMeas > 0.0) {
+        std::vector<bool> measured(circuit.numQubits(), false);
+        for (std::ptrdiff_t q : split.clbitSource) {
+            if (q >= 0)
+                measured[static_cast<std::size_t>(q)] = true;
+        }
         for (std::size_t q = 0; q < circuit.numQubits(); ++q) {
-            if (!measured_qubit[q])
+            if (!measured[q])
                 continue;
             std::size_t mask = std::size_t{1} << q;
             std::vector<double> next(probs.size());
@@ -605,21 +371,7 @@ noisyDistribution(const qc::Circuit &circuit, const NoiseModel &noise)
             probs = std::move(next);
         }
     }
-
-    stats::Distribution dist;
-    for (std::size_t s = 0; s < probs.size(); ++s) {
-        if (probs[s] < 1e-15)
-            continue;
-        std::string key(circuit.numClbits(), '0');
-        for (std::size_t c = 0; c < circuit.numClbits(); ++c) {
-            if (clbit_source[c] >= 0 &&
-                (s >> static_cast<std::size_t>(clbit_source[c])) & 1) {
-                key[c] = '1';
-            }
-        }
-        dist.add(key, probs[s]);
-    }
-    return dist;
+    return clbitDistribution(probs, split.clbitSource);
 }
 
 } // namespace smq::sim

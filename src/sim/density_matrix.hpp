@@ -11,6 +11,13 @@
  * Supports unitary circuits with terminal measurements; mid-circuit
  * measurement / RESET require outcome branching and are only exposed
  * through the trajectory runner.
+ *
+ * Layout: rho is row-major, entry (r, c) at index r * 2^n + c, which
+ * is the memory layout of a 2n-qubit state vector: column qubit q is
+ * index bit q and row qubit q is index bit n + q. Gates run on the
+ * statevector's kernels (sim/dense_kernels.hpp): U rho U^dagger is U
+ * on the row bits, then the entrywise conjugate of U on the column
+ * bits; CCX / CSWAP are the same permutation on both halves.
  */
 
 #ifndef SMQ_SIM_DENSITY_MATRIX_HPP
@@ -31,7 +38,8 @@ namespace smq::sim {
 class DensityMatrix
 {
   public:
-    /** |0..0><0..0| over @p num_qubits qubits. @pre num_qubits <= 13. */
+    /** |0..0><0..0| over @p num_qubits qubits.
+     *  @throws std::invalid_argument past kDensityMatrixHardCap (11). */
     explicit DensityMatrix(std::size_t num_qubits);
 
     std::size_t numQubits() const { return numQubits_; }
@@ -51,9 +59,6 @@ class DensityMatrix
 
     /** Apply a pre-fused instruction sequence (see sim/fusion.hpp). */
     void applyFused(const std::vector<FusedOp> &ops);
-
-    /** Apply a one-qubit Kraus channel {K_i}: rho <- sum K rho K^dg. */
-    void applyKraus1(std::size_t q, const std::vector<Matrix2> &kraus);
 
     /** One-qubit depolarising channel with probability p. */
     void depolarize1(std::size_t q, double p);

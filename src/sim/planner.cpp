@@ -30,9 +30,9 @@ backendToken(BackendKind kind)
 
 /** Would a dense statevector of this width fit the memory budget? */
 bool
-statevectorFits(std::size_t width, std::size_t cap)
+statevectorFits(std::size_t width)
 {
-    if (width > cap)
+    if (width > kStatevectorHardCap)
         return false;
     return denseBytes(width, 2 * sizeof(double), false) <=
            memoryBudgetBytes();
@@ -81,7 +81,7 @@ planCircuit(const qc::Circuit &circuit, const NoiseModel &noise,
         // tableau — including every noisy case, where the twirled
         // noise channel keeps shots polynomial at any width.
         if (!noise.enabled && !plan.midCircuit &&
-            statevectorFits(plan.width, config.maxStatevectorQubits)) {
+            statevectorFits(plan.width)) {
             plan.backend = BackendKind::Statevector;
             plan.reason = "ideal";
             return plan;

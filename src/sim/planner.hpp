@@ -33,9 +33,6 @@
 
 namespace smq::sim {
 
-/** Hard engine cap of the dense density matrix (DensityMatrix ctor). */
-inline constexpr std::size_t kDensityMatrixHardCap = 11;
-
 /**
  * Choose the backend for one circuit under one noise model. Pure and
  * deterministic; never allocates simulator state.

@@ -370,28 +370,21 @@ runTrajectories(const qc::Circuit &circuit, const RunOptions &options,
     // a trailing gate on a measured qubit must not perturb the sampled
     // distribution.
     std::uint64_t per_traj = 1;
-    std::vector<std::ptrdiff_t> clbit_source(circuit.numClbits(), -1);
-    qc::Circuit body(circuit.numQubits());
+    TerminalSplit terminal;
     if (!mid_circuit) {
         per_traj = std::max<std::uint64_t>(
             1, std::min(options.shotsPerTrajectory, options.shots));
-        const qc::Circuit core = terminalCore(circuit);
-        for (const qc::Gate &g : core.gates()) {
-            if (g.type == qc::GateType::MEASURE) {
-                clbit_source[static_cast<std::size_t>(g.cbit)] =
-                    static_cast<std::ptrdiff_t>(g.qubits[0]);
-            } else {
-                body.append(g);
-            }
-        }
+        terminal = splitTerminal(terminalCore(circuit));
     }
+    const std::vector<std::ptrdiff_t> &clbit_source = terminal.clbitSource;
 
     const std::uint64_t trajectories =
         (options.shots + per_traj - 1) / per_traj;
     StateLanes state(circuit.numQubits(),
                      static_cast<std::size_t>(std::min<std::uint64_t>(
                          trajectories, laneCap(circuit.numQubits()))));
-    LaneBatch batch(mid_circuit ? circuit : body, options.noise, state);
+    LaneBatch batch(mid_circuit ? circuit : terminal.body, options.noise,
+                    state);
     std::vector<stats::Rng> rngs;
     rngs.reserve(state.maxLanes());
     std::vector<std::uint64_t> lane_shots;

@@ -6,6 +6,8 @@
 
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
+#include "sim/backend.hpp"
+#include "sim/dense_kernels.hpp"
 #include "sim/kernels.hpp"
 #include "sim/memory.hpp"
 #include "sim/simd.hpp"
@@ -13,7 +15,6 @@
 namespace smq::sim {
 
 namespace {
-constexpr std::size_t kMaxQubits = 26;
 
 /** @p applies kernel applications (1q/2q matrix or 3q permutation). */
 inline void
@@ -31,117 +32,14 @@ checkQubitIndex(std::size_t q, std::size_t num_qubits)
         throw std::out_of_range("StateVector: qubit index out of range");
 }
 
-/**
- * Spread the bits of @p k around one zero slot at bit position p:
- * index k of the pair subspace -> amplitude index with qubit p clear.
- */
-inline std::size_t
-expand1(std::size_t k, std::size_t p)
-{
-    return ((k >> p) << (p + 1)) | (k & ((std::size_t{1} << p) - 1));
-}
+} // namespace
 
-/** Two zero slots at bit positions p0 < p1. */
-inline std::size_t
-expand2(std::size_t k, std::size_t p0, std::size_t p1)
-{
-    std::size_t x = expand1(k, p0);
-    return ((x >> p1) << (p1 + 1)) | (x & ((std::size_t{1} << p1) - 1));
-}
+namespace dense {
 
-/**
- * Spread the n-3 bits of @p k around three zero slots at bit positions
- * p0 < p1 < p2: enumerates the subspace with those three qubits fixed
- * at 0 without scanning (and branching on) all 2^n indices.
- */
-inline std::size_t
-expand3(std::size_t k, std::size_t p0, std::size_t p1, std::size_t p2)
-{
-    std::size_t x = expand2(k, p0, p1);
-    return ((x >> p2) << (p2 + 1)) | (x & ((std::size_t{1} << p2) - 1));
-}
-
-void
-sort3(std::size_t &a, std::size_t &b, std::size_t &c)
-{
-    if (a > b)
-        std::swap(a, b);
-    if (b > c)
-        std::swap(b, c);
-    if (a > b)
-        std::swap(a, b);
-}
-
-/*
- * Every kernel below works on `size` amplitudes that hold one or more
- * lanes of 2^n: the qubits are the low n index bits and the lane is
- * the rest, so subspace enumeration over [0, size) visits every lane
- * and never pairs amplitudes of two lanes.
- */
-
-/**
- * fn(i0, len) over the qubit-q pair runs of pair indices [pb, pe):
- * amplitudes [i0, i0 + len) have qubit q clear and their partners
- * [i0 + 2^q, i0 + 2^q + len) have it set. A run never crosses a lane.
- */
-template <typename Fn>
-inline void
-forPairRuns(std::size_t pb, std::size_t pe, std::size_t q, const Fn &fn)
-{
-    const std::size_t stride = std::size_t{1} << q;
-    std::size_t p = pb;
-    while (p < pe) {
-        const std::size_t run = std::min(stride - (p & (stride - 1)), pe - p);
-        fn(expand1(p, q), run);
-        p += run;
-    }
-}
-
-/**
- * Apply the 2x2 matrix matrix_of(i0) to each qubit-q pair (i0 the
- * amplitude with q clear); nullptr leaves the pair untouched.
- */
-template <typename MatrixOf>
-void
-matrix1Kernel(Complex *amps, std::size_t size, std::size_t q,
-              const MatrixOf &matrix_of)
-{
-    kernels::recordSimdPath();
-    const std::size_t stride = std::size_t{1} << q;
-    // Pair index p enumerates the qubit-q=0 subspace; consecutive p
-    // with the same high bits form contiguous amplitude runs of
-    // length `stride`, which the SIMD primitive consumes whole.
-    kernels::forEachRange(
-        size / 2, size, [&](std::size_t pb, std::size_t pe) {
-            if (stride < 4) {
-                for (std::size_t p = pb; p < pe; ++p) {
-                    const std::size_t i0 = expand1(p, q);
-                    const Matrix2 *m = matrix_of(i0);
-                    if (m == nullptr)
-                        continue;
-                    const Complex a0 = amps[i0];
-                    const Complex a1 = amps[i0 + stride];
-                    amps[i0] = kernels::coeffMul((*m)[0], a0) +
-                               kernels::coeffMul((*m)[1], a1);
-                    amps[i0 + stride] = kernels::coeffMul((*m)[2], a0) +
-                                        kernels::coeffMul((*m)[3], a1);
-                }
-                return;
-            }
-            forPairRuns(pb, pe, q, [&](std::size_t i0, std::size_t run) {
-                if (const Matrix2 *m = matrix_of(i0))
-                    kernels::pairTransform(amps + i0, amps + i0 + stride,
-                                           run, *m);
-            });
-        });
-}
-
-/** Apply a two-qubit matrix (basis |b0 b1>, see gate_matrices). */
 void
 matrix2Kernel(Complex *amps, std::size_t size, std::size_t q0,
               std::size_t q1, const Matrix4 &m)
 {
-    kernels::recordSimdPath();
     const std::size_t s0 = std::size_t{1} << q0;
     const std::size_t s1 = std::size_t{1} << q1;
     std::size_t p0 = q0, p1 = q1;
@@ -185,11 +83,6 @@ matrix2Kernel(Complex *amps, std::size_t size, std::size_t q0,
         });
 }
 
-/**
- * Apply one unitary gate over n-qubit lanes (CCX / CSWAP as basis
- * permutations). @throws for MEASURE / RESET / BARRIER, bad arity or
- * an out-of-range / duplicate qubit.
- */
 void
 gateKernel(Complex *amps, std::size_t size, std::size_t n,
            const qc::Gate &gate)
@@ -242,6 +135,7 @@ gateKernel(Complex *amps, std::size_t size, std::size_t n,
     if (gate.qubits.size() == 1) {
         checkQubitIndex(gate.qubits[0], n);
         const Matrix2 m = gateMatrix1(gate);
+        kernels::recordSimdPath();
         matrix1Kernel(amps, size, gate.qubits[0],
                       [&m](std::size_t) { return &m; });
     } else if (gate.qubits.size() == 2) {
@@ -249,12 +143,19 @@ gateKernel(Complex *amps, std::size_t size, std::size_t n,
         checkQubitIndex(gate.qubits[1], n);
         if (gate.qubits[0] == gate.qubits[1])
             throw std::invalid_argument("StateVector: duplicate qubit");
+        kernels::recordSimdPath();
         matrix2Kernel(amps, size, gate.qubits[0], gate.qubits[1],
                       gateMatrix2(gate));
     } else {
         throw std::invalid_argument("StateVector::applyGate: bad arity");
     }
 }
+
+} // namespace dense
+
+namespace {
+
+using dense::forPairRuns;
 
 /**
  * Sum of |amp|^2 over the indices in [b, e) with bit q set, walking
@@ -389,7 +290,7 @@ sampleBasis(const Complex *amps, std::size_t dim, stats::Rng &rng)
 void
 checkDenseBudget(std::size_t num_qubits, std::size_t lanes)
 {
-    if (num_qubits > kMaxQubits)
+    if (num_qubits > kStatevectorHardCap)
         throw std::invalid_argument(
             "StateVector: too many qubits for dense simulation");
     // Estimate the allocation before attempting it: a too-large cell
@@ -429,8 +330,9 @@ StateVector::applyMatrix1(std::size_t q, const Matrix2 &m)
 {
     checkQubit(q);
     countSvKernel();
-    matrix1Kernel(amps_.data(), amps_.size(), q,
-                  [&m](std::size_t) { return &m; });
+    kernels::recordSimdPath();
+    dense::matrix1Kernel(amps_.data(), amps_.size(), q,
+                         [&m](std::size_t) { return &m; });
 }
 
 void
@@ -441,13 +343,14 @@ StateVector::applyMatrix2(std::size_t q0, std::size_t q1, const Matrix4 &m)
     if (q0 == q1)
         throw std::invalid_argument("StateVector: duplicate qubit");
     countSvKernel();
-    matrix2Kernel(amps_.data(), amps_.size(), q0, q1, m);
+    kernels::recordSimdPath();
+    dense::matrix2Kernel(amps_.data(), amps_.size(), q0, q1, m);
 }
 
 void
 StateVector::applyGate(const qc::Gate &gate)
 {
-    gateKernel(amps_.data(), amps_.size(), numQubits_, gate);
+    dense::gateKernel(amps_.data(), amps_.size(), numQubits_, gate);
     countSvKernel();
 }
 
@@ -545,7 +448,7 @@ StateLanes::resetToZero(std::size_t lanes)
 void
 StateLanes::applyGate(const qc::Gate &gate)
 {
-    gateKernel(amps_.data(), lanes_ << numQubits_, numQubits_, gate);
+    dense::gateKernel(amps_.data(), lanes_ << numQubits_, numQubits_, gate);
     countSvKernel(lanes_);
 }
 
@@ -560,9 +463,10 @@ StateLanes::applyPerLane(std::size_t q,
     if (hits == 0)
         return;
     countSvKernel(hits);
+    kernels::recordSimdPath();
     const std::size_t n = numQubits_;
-    matrix1Kernel(amps_.data(), lanes_ << n, q,
-                  [&](std::size_t i0) { return per_lane[i0 >> n]; });
+    dense::matrix1Kernel(amps_.data(), lanes_ << n, q,
+                         [&](std::size_t i0) { return per_lane[i0 >> n]; });
 }
 
 void
@@ -722,43 +626,44 @@ StateVector::normalize()
         });
 }
 
-stats::Distribution
-idealDistribution(const qc::Circuit &circuit)
+TerminalSplit
+splitTerminal(const qc::Circuit &circuit)
 {
-    // Verify terminal measurements and record qubit -> clbit mapping.
+    TerminalSplit split{qc::Circuit(circuit.numQubits()),
+                        std::vector<std::ptrdiff_t>(circuit.numClbits(), -1)};
     std::vector<bool> measured(circuit.numQubits(), false);
-    std::vector<std::ptrdiff_t> clbit_source(circuit.numClbits(), -1);
-    qc::Circuit unitary_part(circuit.numQubits());
     for (const qc::Gate &g : circuit.gates()) {
-        if (g.type == qc::GateType::BARRIER)
-            continue;
         if (g.type == qc::GateType::MEASURE) {
             measured[g.qubits[0]] = true;
-            clbit_source[static_cast<std::size_t>(g.cbit)] =
+            split.clbitSource[static_cast<std::size_t>(g.cbit)] =
                 static_cast<std::ptrdiff_t>(g.qubits[0]);
             continue;
         }
         if (g.type == qc::GateType::RESET)
             throw std::invalid_argument(
-                "idealDistribution: RESET requires trajectory simulation");
-        for (qc::Qubit q : g.qubits) {
-            if (measured[q])
-                throw std::invalid_argument(
-                    "idealDistribution: non-terminal measurement");
+                "splitTerminal: RESET requires trajectory simulation");
+        if (g.type != qc::GateType::BARRIER) {
+            for (qc::Qubit q : g.qubits) {
+                if (measured[q])
+                    throw std::invalid_argument(
+                        "splitTerminal: non-terminal measurement");
+            }
         }
-        unitary_part.append(g);
+        split.body.append(g);
     }
+    return split;
+}
 
-    StateVector state(circuit.numQubits());
-    state.applyUnitaryCircuit(unitary_part);
-
+stats::Distribution
+clbitDistribution(const std::vector<double> &probs,
+                  const std::vector<std::ptrdiff_t> &clbit_source)
+{
     stats::Distribution dist;
-    std::vector<double> probs = state.probabilities();
     for (std::size_t s = 0; s < probs.size(); ++s) {
         if (probs[s] < 1e-15)
             continue;
-        std::string key(circuit.numClbits(), '0');
-        for (std::size_t c = 0; c < circuit.numClbits(); ++c) {
+        std::string key(clbit_source.size(), '0');
+        for (std::size_t c = 0; c < clbit_source.size(); ++c) {
             if (clbit_source[c] >= 0 &&
                 (s >> static_cast<std::size_t>(clbit_source[c])) & 1) {
                 key[c] = '1';
@@ -767,6 +672,15 @@ idealDistribution(const qc::Circuit &circuit)
         dist.add(key, probs[s]);
     }
     return dist;
+}
+
+stats::Distribution
+idealDistribution(const qc::Circuit &circuit)
+{
+    const TerminalSplit split = splitTerminal(circuit);
+    StateVector state(circuit.numQubits());
+    state.applyUnitaryCircuit(split.body);
+    return clbitDistribution(state.probabilities(), split.clbitSource);
 }
 
 StateVector

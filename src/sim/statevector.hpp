@@ -32,7 +32,8 @@ namespace smq::sim {
 class StateVector
 {
   public:
-    /** |0...0> over @p num_qubits qubits. @pre num_qubits <= 26. */
+    /** |0...0> over @p num_qubits qubits.
+     *  @throws std::invalid_argument past kStatevectorHardCap (26). */
     explicit StateVector(std::size_t num_qubits);
 
     std::size_t numQubits() const { return numQubits_; }
@@ -191,10 +192,39 @@ class StateLanes
 };
 
 /**
+ * A terminal-measurement circuit split for the exact engines. The
+ * body holds every instruction but MEASURE, barriers included (they
+ * shape the noisy schedule); clbitSource[c] is the qubit measured
+ * into classical bit c, or -1 when none is.
+ */
+struct TerminalSplit
+{
+    qc::Circuit body;
+    std::vector<std::ptrdiff_t> clbitSource;
+};
+
+/**
+ * Split @p circuit at its measurements. A barrier never counts as
+ * touching a measured qubit, as in hasMidCircuitOperations.
+ * @throws std::invalid_argument on a RESET, or on a gate that acts on
+ *   an already-measured qubit.
+ */
+TerminalSplit splitTerminal(const qc::Circuit &circuit);
+
+/**
+ * The distribution over classical bits of the basis-state
+ * probabilities @p probs, bit c reading qubit clbit_source[c] (always
+ * 0 when that is -1). States below 1e-15 are dropped.
+ */
+stats::Distribution
+clbitDistribution(const std::vector<double> &probs,
+                  const std::vector<std::ptrdiff_t> &clbit_source);
+
+/**
  * Exact output distribution over the circuit's classical bits under
- * noiseless execution, assuming measurements are terminal (no gate
- * follows a MEASURE/RESET on the same qubit). Used for ideal reference
- * distributions. @throws if a measurement is not terminal.
+ * noiseless execution, assuming measurements are terminal (see
+ * splitTerminal). Used for ideal reference distributions.
+ * @throws if a measurement is not terminal.
  */
 stats::Distribution
 idealDistribution(const qc::Circuit &circuit);

@@ -297,8 +297,9 @@ TEST(Report, FullSweepNeverThrowsAndExplainsEveryCell)
                     << run.benchmark << " @ " << run.device;
                 ++degraded;
             }
-            if (run.scores.size() < options.harness.repetitions)
+            if (run.scores.size() < options.harness.repetitions) {
                 EXPECT_NE(run.status, core::RunStatus::Ok);
+            }
         }
     }
     // The storm profile and capability gates must have landed somewhere

@@ -15,12 +15,16 @@
 
 #include <algorithm>
 #include <complex>
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "device/device.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "qc/circuit.hpp"
@@ -108,7 +112,7 @@ runDensityMatrix(const qc::Circuit &circuit)
     sim::DensityMatrix rho(circuit.numQubits());
     for (const qc::Gate &g : circuit.gates())
         rho.applyGate(g);
-    // Exercise the channel kernels too (closed-form + Kraus paths).
+    // Exercise the closed-form channel kernels too.
     rho.depolarize1(0, 0.01);
     rho.depolarize2(0, 1, 0.02);
     rho.thermalRelax(2, 0.003, 0.001);
@@ -370,6 +374,159 @@ TEST(KernelSimd, Avx2MatchesScalarBitwise)
     sim::DensityMatrix dm_avx = runDensityMatrix(circuit);
     expectBitIdentical(snapshotDm(dm_scalar), snapshotDm(dm_avx),
                        "avx2 vs scalar density matrix");
+}
+
+// ---------------------------------------------------------------------
+// Pinned density-matrix bits
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** FNV-1a over @p size bytes. */
+std::uint64_t
+fnv1a(const void *data, std::size_t size)
+{
+    const auto *bytes = static_cast<const unsigned char *>(data);
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (std::size_t i = 0; i < size; ++i) {
+        hash ^= bytes[i];
+        hash *= 0x100000001b3ull;
+    }
+    return hash;
+}
+
+std::uint64_t
+rhoHash(const sim::DensityMatrix &rho)
+{
+    const std::vector<sim::Complex> v = snapshotDm(rho);
+    return fnv1a(v.data(), v.size() * sizeof(sim::Complex));
+}
+
+/**
+ * Seeded random unitary circuit over every gate type, CCX and CSWAP
+ * included. A local splitmix64 draws it, so the circuit depends on
+ * nothing but the seed.
+ */
+qc::Circuit
+seededFuzzCircuit(std::size_t n, std::uint64_t seed)
+{
+    auto next = [&seed] {
+        std::uint64_t z = (seed += 0x9e3779b97f4a7c15ull);
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+        return z ^ (z >> 31);
+    };
+    constexpr std::size_t kTypes =
+        static_cast<std::size_t>(qc::GateType::CSWAP) + 1;
+    qc::Circuit c(n);
+    for (std::size_t k = 0; k < 24; ++k) {
+        const auto type = static_cast<qc::GateType>(next() % kTypes);
+        std::vector<qc::Qubit> qubits;
+        while (qubits.size() < qc::gateArity(type)) {
+            const auto q = static_cast<qc::Qubit>(next() % n);
+            if (std::find(qubits.begin(), qubits.end(), q) == qubits.end())
+                qubits.push_back(q);
+        }
+        std::vector<double> params;
+        for (std::size_t i = 0; i < qc::gateParamCount(type); ++i) {
+            // uniform in [-3, 3) from 53 random mantissa bits
+            const double u = static_cast<double>(next() >> 11) * 0x1p-53;
+            params.push_back(6.0 * u - 3.0);
+        }
+        c.append(qc::Gate(type, qubits, params));
+    }
+    c.ccx(0, 1, 2).cswap(n - 1, 0, 1);
+    return c;
+}
+
+/** noisyDistribution as "bits %a" lines, one per outcome. */
+std::string
+hexDistribution(const qc::Circuit &circuit, const sim::NoiseModel &noise)
+{
+    qc::Circuit measured = circuit;
+    measured.measureAll();
+    const stats::Distribution dist = sim::noisyDistribution(measured, noise);
+    std::string text;
+    char line[64];
+    for (const auto &[bits, p] : dist.map()) {
+        std::snprintf(line, sizeof(line), "%s %a\n", bits.c_str(), p);
+        text += line;
+    }
+    return text;
+}
+
+} // namespace
+
+TEST(KernelPinned, DensityMatrixMatchesRecordedBits)
+{
+    // Values recorded from the density matrix's own row/column kernels
+    // before it moved onto the statevector's; a refactor of either
+    // engine's dense kernels must reproduce them to the last bit.
+    // Tolerance and same-build comparisons cannot see last-ulp drift.
+    // The bits also depend on code generation (FMA contraction) and
+    // on libm's sin/cos/exp, so they are pinned for x86-64 glibc only.
+#if !defined(__x86_64__) || !defined(__GLIBC__)
+    GTEST_SKIP() << "bits pinned for x86-64 glibc builds only";
+#endif
+    struct Seeded
+    {
+        std::size_t n;
+        std::uint64_t seed;
+        std::uint64_t hash;
+    };
+    const Seeded seeded[] = {
+        {3, 11, 0x5b2f513778a18088ull},
+        {4, 12, 0x8dc52ccd6806fe32ull},
+        {6, 13, 0x1f0ba5fd0aa50bb3ull},
+    };
+    const device::Device casablanca = device::ibmCasablanca();
+    const device::Device aqt = device::aqtDevice();
+    const std::string dist3_casablanca = "000 0x1.04727a5818a9fp-3\n"
+                                         "001 0x1.01bee5cecce17p-3\n"
+                                         "010 0x1.00f551431cd65p-3\n"
+                                         "011 0x1.fc3052e77a4ebp-4\n"
+                                         "100 0x1.01b0ad79052a9p-3\n"
+                                         "101 0x1.00a0e562847c3p-3\n"
+                                         "110 0x1.f9accee5a2b0bp-4\n"
+                                         "111 0x1.f73255a7caebbp-4\n";
+    const std::string dist3_aqt = "000 0x1.02867058e6701p-3\n"
+                                  "001 0x1.00e4a020988ep-3\n"
+                                  "010 0x1.00c07039a3ebcp-3\n"
+                                  "011 0x1.fdc32f63bae6fp-4\n"
+                                  "100 0x1.00dcbf4b3f5a6p-3\n"
+                                  "101 0x1.005c09e7352a3p-3\n"
+                                  "110 0x1.fc793ca7718bcp-4\n"
+                                  "111 0x1.fafb0029a4afap-4\n";
+    // FNV-1a of the 64-line %a text of the 6-qubit distributions.
+    const std::uint64_t dist6_casablanca = 0xf153b6c8dabfa536ull;
+    const std::uint64_t dist6_aqt = 0xed4343e98ce0884aull;
+
+    kernels::KernelConfigGuard guard;
+    std::vector<kernels::SimdMode> modes = {kernels::SimdMode::Scalar};
+    if (kernels::avx2Supported())
+        modes.push_back(kernels::SimdMode::Avx2);
+    for (kernels::SimdMode mode : modes) {
+        kernels::setSimdMode(mode);
+        SCOPED_TRACE(kernels::usingAvx2() ? "avx2" : "scalar");
+        EXPECT_EQ(rhoHash(runDensityMatrix(denseKernelCircuit(5))),
+                  0x59c6c2a4b420bca2ull);
+        for (const Seeded &s : seeded) {
+            const qc::Circuit c = seededFuzzCircuit(s.n, s.seed);
+            EXPECT_EQ(rhoHash(runDensityMatrix(c)), s.hash)
+                << "seed " << s.seed;
+        }
+        EXPECT_EQ(hexDistribution(denseKernelCircuit(3), casablanca.noise),
+                  dist3_casablanca);
+        EXPECT_EQ(hexDistribution(denseKernelCircuit(3), aqt.noise),
+                  dist3_aqt);
+        const std::string six_casablanca =
+            hexDistribution(denseKernelCircuit(6), casablanca.noise);
+        const std::string six_aqt =
+            hexDistribution(denseKernelCircuit(6), aqt.noise);
+        EXPECT_EQ(fnv1a(six_casablanca.data(), six_casablanca.size()),
+                  dist6_casablanca);
+        EXPECT_EQ(fnv1a(six_aqt.data(), six_aqt.size()), dist6_aqt);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -624,6 +624,27 @@ TEST(MidCircuitDetection, TrailingOpsKeepTheTerminalFastPath)
     EXPECT_EQ(counts.shots(), 100u);
 }
 
+TEST(MidCircuitDetection, BarrierOnAMeasuredQubitKeepsTheExactNoisyPath)
+{
+    // A barrier is not a gate on the measured qubit it touches: the
+    // planner calls this circuit terminal, so the density-matrix engine
+    // it picks must run it too.
+    qc::Circuit c(2, 2);
+    c.ry(0.3, 0);
+    c.cx(0, 1);
+    c.measure(0, 0);
+    c.barrier({0, 1});
+    c.measure(1, 1);
+    const sim::NoiseModel noise = device::ibmCasablanca().noise;
+    EXPECT_FALSE(sim::hasMidCircuitOperations(c));
+    EXPECT_EQ(sim::planCircuit(c, noise).token(),
+              "density-matrix:exact-noise");
+    stats::Counts counts;
+    ASSERT_NO_THROW(counts = runWith(c, noise, sim::BackendKind::Auto,
+                                     300, 5));
+    EXPECT_EQ(counts.shots(), 300u);
+}
+
 // --- denseBytes overflow hardening -----------------------------------
 
 TEST(DenseBytes, FortyQubitStatevectorSizeIsExact)
