@@ -450,6 +450,33 @@ perfHarness(int argc, char **argv)
                }));
     }
 
+    {
+        // ghz_16 as the Fig. 2 grid runs it on IBM-Montreal: the routed
+        // circuit is not Clifford and too wide for the density matrix,
+        // so it runs terminal trajectories, one 2^16 lane a batch (5
+        // trajectories of 20 shots). The widest trajectory cells of the
+        // grid are these.
+        const core::GhzBenchmark ghz(16);
+        const device::Device montreal = device::ibmMontreal();
+        const core::PreparedCircuits prepared =
+            core::prepareCircuits(ghz, montreal, core::HarnessOptions{});
+        const qc::Circuit &wide = prepared.circuits[0];
+        const std::string token = prepared.plans[0].token();
+        if (wide.numQubits() != 16 || token != "trajectory:width>dm-cutoff") {
+            std::cerr << "bench_perf: ghz_16 on IBM-Montreal is " << token
+                      << " at width " << wide.numQubits()
+                      << ", not trajectory:width>dm-cutoff at width 16\n";
+            return 1;
+        }
+        record("trajectories_ghz16_wide_100shots", timeIt([&] {
+                   sim::RunOptions ro;
+                   ro.shots = 100;
+                   ro.noise = montreal.noise;
+                   stats::Rng rng(7);
+                   benchmark::DoNotOptimize(sim::run(wide, ro, rng));
+               }));
+    }
+
     // Observability overhead: a noisy GHZ-12 run (stabilizer tableau)
     // with the metric registry off, then on. The instrumented sites
     // in the simulator and pool are the real ones, so this measures

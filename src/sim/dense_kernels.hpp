@@ -1,7 +1,8 @@
 /**
  * @file
  * Dense gate kernels shared by the two dense engines (internal: only
- * statevector.cpp and density_matrix.cpp include this header).
+ * statevector.cpp, density_matrix.cpp and the scalar range bodies in
+ * simd.cpp include this header).
  *
  * Every kernel works on `size` amplitudes addressed by index bits,
  * and the caller decides what the bits mean. A StateVector's qubits
@@ -10,9 +11,10 @@
  * and row qubit q is bit n + q. A kernel only combines indices that
  * differ in the bits it is given, so it never mixes two lanes.
  *
- * The kernels do not bump sim.kernel.simd_*: a caller records one
- * SIMD path per gate it applies, however many kernel calls that gate
- * takes.
+ * The matrix kernels make one kernels::pairRange / quadRange call per
+ * dispatched range, which walks the amplitude runs inside the SIMD
+ * body. They do not bump sim.kernel.simd_*: a caller records one SIMD
+ * path per gate it applies, however many kernel calls that gate takes.
  */
 
 #ifndef SMQ_SIM_DENSE_KERNELS_HPP
@@ -88,43 +90,9 @@ forPairRuns(std::size_t pb, std::size_t pe, std::size_t q, const Fn &fn)
     }
 }
 
-/**
- * Apply the 2x2 matrix matrix_of(i0) to each bit-q pair (i0 the
- * amplitude with q clear); nullptr leaves the pair untouched.
- */
-template <typename MatrixOf>
-void
-matrix1Kernel(Complex *amps, std::size_t size, std::size_t q,
-              const MatrixOf &matrix_of)
-{
-    const std::size_t stride = std::size_t{1} << q;
-    // Pair index p enumerates the bit-q=0 subspace; consecutive p
-    // with the same high bits form contiguous amplitude runs of
-    // length `stride`, which the SIMD primitive consumes whole.
-    kernels::forEachRange(
-        size / 2, size, [&](std::size_t pb, std::size_t pe) {
-            if (stride < 4) {
-                for (std::size_t p = pb; p < pe; ++p) {
-                    const std::size_t i0 = expand1(p, q);
-                    const Matrix2 *m = matrix_of(i0);
-                    if (m == nullptr)
-                        continue;
-                    const Complex a0 = amps[i0];
-                    const Complex a1 = amps[i0 + stride];
-                    amps[i0] = kernels::coeffMul((*m)[0], a0) +
-                               kernels::coeffMul((*m)[1], a1);
-                    amps[i0 + stride] = kernels::coeffMul((*m)[2], a0) +
-                                        kernels::coeffMul((*m)[3], a1);
-                }
-                return;
-            }
-            forPairRuns(pb, pe, q, [&](std::size_t i0, std::size_t run) {
-                if (const Matrix2 *m = matrix_of(i0))
-                    kernels::pairTransform(amps + i0, amps + i0 + stride,
-                                           run, *m);
-            });
-        });
-}
+/** Apply a one-qubit matrix to index bit @p q. */
+void matrix1Kernel(Complex *amps, std::size_t size, std::size_t q,
+                   const Matrix2 &m);
 
 /** Apply a two-qubit matrix (basis |b0 b1>, see gate_matrices). */
 void matrix2Kernel(Complex *amps, std::size_t size, std::size_t q0,

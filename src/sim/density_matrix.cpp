@@ -76,10 +76,8 @@ DensityMatrix::applyMatrix1(std::size_t q, const Matrix2 &u)
     // transpose.
     const Matrix2 d = {std::conj(u[0]), std::conj(u[1]), std::conj(u[2]),
                        std::conj(u[3])};
-    dense::matrix1Kernel(rho_.data(), rho_.size(), numQubits_ + q,
-                         [&u](std::size_t) { return &u; });
-    dense::matrix1Kernel(rho_.data(), rho_.size(), q,
-                         [&d](std::size_t) { return &d; });
+    dense::matrix1Kernel(rho_.data(), rho_.size(), numQubits_ + q, u);
+    dense::matrix1Kernel(rho_.data(), rho_.size(), q, d);
 }
 
 void

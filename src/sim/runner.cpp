@@ -139,8 +139,15 @@ class LaneBatch
     LaneBatch(const qc::Circuit &circuit, const NoiseModel &noise,
               StateLanes &state)
         : circuit_(circuit), sched_(qc::schedule(circuit)), noise_(noise),
-          state_(state)
+          state_(state),
+          firstTouch_(circuit.numQubits(), sched_.moments.size())
     {
+        for (std::size_t m = 0; m < sched_.moments.size(); ++m) {
+            for (std::size_t idx : sched_.moments[m]) {
+                for (qc::Qubit q : circuit_.gates()[idx].qubits)
+                    firstTouch_[q] = std::min(firstTouch_[q], m);
+            }
+        }
     }
 
     /** Run one lane per stream of @p rngs; clbits()[l] is lane l's. */
@@ -158,10 +165,10 @@ class LaneBatch
 
         const std::size_t width = circuit_.numQubits();
         std::vector<bool> active(width, false);
-        for (const auto &moment : sched_.moments) {
+        for (std::size_t m = 0; m < sched_.moments.size(); ++m) {
             double duration = 0.0;
             active.assign(width, false);
-            for (std::size_t idx : moment) {
+            for (std::size_t idx : sched_.moments[m]) {
                 const qc::Gate &g = circuit_.gates()[idx];
                 if (noise_.enabled)
                     duration = std::max(duration, gateDuration(g, noise_));
@@ -175,6 +182,14 @@ class LaneBatch
             for (std::size_t q = 0; q < width; ++q) {
                 if (active[q])
                     continue;
+                if (m < firstTouch_[q]) {
+                    // Still |0> in every lane: P(1) is exactly 0 and the
+                    // event can only flip the sign of a zero amplitude,
+                    // so draw it and skip both passes.
+                    for (std::size_t l = 0; l < lanes; ++l)
+                        drawRelaxation(idle, 0.0, rngs[l]);
+                    continue;
+                }
                 if (idle.damp > 0.0)
                     state_.probabilitiesOfOne(q, p1_);
                 for (std::size_t l = 0; l < lanes; ++l)
@@ -261,6 +276,8 @@ class LaneBatch
     std::vector<const Matrix2 *> first_;
     std::vector<const Matrix2 *> second_;
     std::vector<Relaxation> relax_;
+    /** First moment with an instruction on each qubit (depth: none). */
+    std::vector<std::size_t> firstTouch_;
 };
 
 /** Index of the last MEASURE instruction. @pre measureCount() > 0. */

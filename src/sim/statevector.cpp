@@ -37,50 +37,23 @@ checkQubitIndex(std::size_t q, std::size_t num_qubits)
 namespace dense {
 
 void
+matrix1Kernel(Complex *amps, std::size_t size, std::size_t q,
+              const Matrix2 &m)
+{
+    kernels::forEachRange(size / 2, size,
+                          [&](std::size_t pb, std::size_t pe) {
+                              kernels::pairRange(amps, pb, pe, q, m);
+                          });
+}
+
+void
 matrix2Kernel(Complex *amps, std::size_t size, std::size_t q0,
               std::size_t q1, const Matrix4 &m)
 {
-    const std::size_t s0 = std::size_t{1} << q0;
-    const std::size_t s1 = std::size_t{1} << q1;
-    std::size_t p0 = q0, p1 = q1;
-    if (p0 > p1)
-        std::swap(p0, p1);
-    const std::size_t sLow = std::size_t{1} << p0;
-    // Quad index k enumerates the both-qubits-0 subspace (no
-    // branch-per-index scan); the four basis offsets follow the
-    // |b0 b1> convention with s0 the FIRST operand's bit.
-    kernels::forEachRange(
-        size / 4, size, [&](std::size_t kb, std::size_t ke) {
-            if (sLow < 4) {
-                for (std::size_t k = kb; k < ke; ++k) {
-                    const std::size_t idx = expand2(k, p0, p1);
-                    const Complex a0 = amps[idx];
-                    const Complex a1 = amps[idx + s1];
-                    const Complex a2 = amps[idx + s0];
-                    const Complex a3 = amps[idx + s0 + s1];
-                    for (std::size_t r = 0; r < 4; ++r) {
-                        Complex acc = kernels::coeffMul(m[r * 4 + 0], a0);
-                        acc = acc + kernels::coeffMul(m[r * 4 + 1], a1);
-                        acc = acc + kernels::coeffMul(m[r * 4 + 2], a2);
-                        acc = acc + kernels::coeffMul(m[r * 4 + 3], a3);
-                        const std::size_t out =
-                            idx + (r & 2 ? s0 : 0) + (r & 1 ? s1 : 0);
-                        amps[out] = acc;
-                    }
-                }
-                return;
-            }
-            std::size_t k = kb;
-            while (k < ke) {
-                const std::size_t off = k & (sLow - 1);
-                const std::size_t run = std::min(sLow - off, ke - k);
-                const std::size_t idx = expand2(k, p0, p1);
-                kernels::quadTransform(amps + idx, amps + idx + s1,
-                                       amps + idx + s0,
-                                       amps + idx + s0 + s1, run, m);
-                k += run;
-            }
-        });
+    kernels::forEachRange(size / 4, size,
+                          [&](std::size_t kb, std::size_t ke) {
+                              kernels::quadRange(amps, kb, ke, q0, q1, m);
+                          });
 }
 
 void
@@ -136,8 +109,7 @@ gateKernel(Complex *amps, std::size_t size, std::size_t n,
         checkQubitIndex(gate.qubits[0], n);
         const Matrix2 m = gateMatrix1(gate);
         kernels::recordSimdPath();
-        matrix1Kernel(amps, size, gate.qubits[0],
-                      [&m](std::size_t) { return &m; });
+        matrix1Kernel(amps, size, gate.qubits[0], m);
     } else if (gate.qubits.size() == 2) {
         checkQubitIndex(gate.qubits[0], n);
         checkQubitIndex(gate.qubits[1], n);
@@ -157,44 +129,111 @@ namespace {
 
 using dense::forPairRuns;
 
+/** Independent add chains one P(1) sweep advances side by side. */
+constexpr std::size_t kChains = 4;
+
 /**
- * Sum of |amp|^2 over the indices in [b, e) with bit q set, walking
- * only the bit-set runs: the same additions in the same order as a
- * scan of every index that skips the clear ones.
+ * sums[k] = sum of |amp|^2 over chain[k][i] for i in the runs
+ * [r, r + run), r = first, first + period, ... < len. Every chain
+ * starts from 0.0 and adds its own terms in ascending index order;
+ * the K chains only share the loop, so their adds overlap instead of
+ * each waiting on the one before.
  */
-double
-setRunsNorm(const Complex *amps, std::size_t b, std::size_t e,
-            std::size_t q)
+template <std::size_t K>
+void
+sumChains(const Complex *const *chain, std::size_t first, std::size_t run,
+          std::size_t period, std::size_t len, double *sums)
 {
-    const std::size_t stride = std::size_t{1} << q;
-    double p = 0.0;
-    std::size_t i = b;
-    while (i < e) {
-        if ((i & stride) == 0)
-            i = (i | stride) & ~(stride - 1); // start of the next set run
-        const std::size_t end = std::min(e, (i | (stride - 1)) + 1);
-        for (; i < end; ++i)
-            p += std::norm(amps[i]);
+    double acc[K] = {};
+    for (std::size_t r = first; r < len; r += period) {
+        for (std::size_t i = r; i < r + run; ++i) {
+            // Unrolled so the K sums stay in registers; rolled, GCC
+            // keeps them in memory and the chains serialise again.
+#pragma GCC unroll 4
+            for (std::size_t k = 0; k < K; ++k)
+                acc[k] += std::norm(chain[k][i]);
+        }
     }
-    return p;
+    for (std::size_t k = 0; k < K; ++k)
+        sums[k] = acc[k];
 }
 
 /**
  * out[l] = P(qubit q = 1) of each of @p lanes lanes of 2^n. Each lane
- * is its own kReduceGrain-chunked reduction, so a lane's sum does not
- * depend on how many lanes share the buffer.
+ * sums kReduceGrain chunks and folds them in chunk order from 0.0, as
+ * reduceChunked does, so a lane's sum does not depend on how many
+ * lanes share the buffer. The (lane, chunk) sums are independent
+ * chains: they run kChains at a time through sumChains, and a chunk
+ * with bit q clear throughout is 0.0 without a pass.
  */
 void
 laneProbabilities(const Complex *amps, std::size_t n, std::size_t lanes,
                   std::size_t q, double *out)
 {
     const std::size_t dim = std::size_t{1} << n;
+    const std::size_t len = std::min(dim, kernels::kReduceGrain);
+    const std::size_t chunks = dim / len;
+    const std::size_t stride = std::size_t{1} << q;
+    // Chain c covers amplitudes [c * len, (c + 1) * len): chunk
+    // c % chunks of lane c / chunks. Below the chunk size every chain
+    // holds the same bit-q runs; from it up a chain is all set or all
+    // clear, and the j-th set chain is j with bit q - log2(len) set.
+    const bool split = stride < len;
+    const std::size_t first = split ? stride : 0;
+    const std::size_t run = split ? stride : len;
+    const std::size_t period = split ? 2 * stride : len;
+    const std::size_t chains = lanes * chunks;
+    const std::size_t live = split ? chains : chains / 2;
+    const std::size_t shift =
+        split ? 0 : q - static_cast<std::size_t>(__builtin_ctzll(len));
+    auto chainOf = [&](std::size_t j) {
+        return split ? j : dense::expand1(j, shift) | (std::size_t{1} << shift);
+    };
+    std::vector<double> partials;
+    double *sums = out;
+    if (chunks > 1) {
+        partials.assign(chains, 0.0);
+        sums = partials.data();
+    }
+    auto group = [&](std::size_t g) {
+        const Complex *chain[kChains];
+        const std::size_t j0 = g * kChains;
+        const std::size_t count = std::min(kChains, live - j0);
+        for (std::size_t k = 0; k < count; ++k)
+            chain[k] = amps + chainOf(j0 + k) * len;
+        double got[kChains];
+        switch (count) {
+          case 4:
+            sumChains<4>(chain, first, run, period, len, got);
+            break;
+          case 3:
+            sumChains<3>(chain, first, run, period, len, got);
+            break;
+          case 2:
+            sumChains<2>(chain, first, run, period, len, got);
+            break;
+          default:
+            sumChains<1>(chain, first, run, period, len, got);
+            break;
+        }
+        for (std::size_t k = 0; k < count; ++k)
+            sums[chainOf(j0 + k)] = got[k];
+    };
+    const std::size_t groups = (live + kChains - 1) / kChains;
+    if (chunks == 1) {
+        // One chunk per lane: each lane's sum is that chunk, computed
+        // in place as reduceChunked computes a single chunk.
+        for (std::size_t g = 0; g < groups; ++g)
+            group(g);
+        return;
+    }
+    // P(1) reads the bit-set half of each lane: that is its cost.
+    kernels::detail::dispatchChunks(groups, (lanes << n) / 2, group);
     for (std::size_t l = 0; l < lanes; ++l) {
-        const Complex *lane = amps + (l << n);
-        out[l] = kernels::reduceChunked<double>(
-            dim, [&](std::size_t b, std::size_t e) {
-                return setRunsNorm(lane, b, e, q);
-            });
+        double total = 0.0;
+        for (std::size_t c = 0; c < chunks; ++c)
+            total += partials[l * chunks + c];
+        out[l] = total;
     }
 }
 
@@ -331,8 +370,7 @@ StateVector::applyMatrix1(std::size_t q, const Matrix2 &m)
     checkQubit(q);
     countSvKernel();
     kernels::recordSimdPath();
-    dense::matrix1Kernel(amps_.data(), amps_.size(), q,
-                         [&m](std::size_t) { return &m; });
+    dense::matrix1Kernel(amps_.data(), amps_.size(), q, m);
 }
 
 void
@@ -464,9 +502,21 @@ StateLanes::applyPerLane(std::size_t q,
         return;
     countSvKernel(hits);
     kernels::recordSimdPath();
-    const std::size_t n = numQubits_;
-    dense::matrix1Kernel(amps_.data(), lanes_ << n, q,
-                         [&](std::size_t i0) { return per_lane[i0 >> n]; });
+    // One dispatch over every lane's pairs; each range runs one
+    // pairRange per lane segment, skipping the lanes without a matrix.
+    const std::size_t half = std::size_t{1} << (numQubits_ - 1);
+    Complex *amps = amps_.data();
+    kernels::forEachRange(
+        lanes_ * half, lanes_ << numQubits_,
+        [&](std::size_t pb, std::size_t pe) {
+            for (std::size_t p = pb; p < pe;) {
+                const std::size_t lane = p / half;
+                const std::size_t end = std::min(pe, (lane + 1) * half);
+                if (const Matrix2 *m = per_lane[lane])
+                    kernels::pairRange(amps, p, end, q, *m);
+                p = end;
+            }
+        });
 }
 
 void

@@ -156,6 +156,9 @@ class StateLanes
 
     std::size_t maxLanes() const { return amps_.size() >> numQubits_; }
 
+    /** The whole buffer: lane l at [l << n, (l + 1) << n). */
+    const std::vector<Complex> &amplitudes() const { return amps_; }
+
     /**
      * Activate lanes [0, @p lanes), each |0...0>.
      * @throws std::invalid_argument when @p lanes > maxLanes().

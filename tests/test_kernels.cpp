@@ -48,7 +48,8 @@ bitEqual(double a, double b)
     return std::memcmp(&a, &b, sizeof(a)) == 0;
 }
 
-/** Non-Clifford mix of 1q/2q/3q gates exercising every kernel path. */
+/** Non-Clifford mix of 1q/2q/3q gates exercising every kernel path
+ *  (the gates on qubit 2 only from n = 3). */
 qc::Circuit
 denseKernelCircuit(std::size_t n)
 {
@@ -57,15 +58,34 @@ denseKernelCircuit(std::size_t n)
         c.h(q);
     for (std::size_t q = 0; q + 1 < n; ++q)
         c.cx(q, q + 1);
-    c.t(0).rz(0.37, 1).rx(1.1, 2).s(n - 1);
+    c.t(0).rz(0.37, 1);
+    if (n >= 3)
+        c.rx(1.1, 2);
+    c.s(n - 1);
     c.cz(0, n - 1);
-    c.swap(1, 2);
     if (n >= 3) {
+        c.swap(1, 2);
         c.ccx(0, 1, 2);
         c.cswap(n - 1, 0, 1);
     }
     c.rz(-0.81, 0).t(n - 2);
     c.cx(n - 1, 0);
+    return c;
+}
+
+/**
+ * denseKernelCircuit, then a ladder of ry pairs each closed by a cx.
+ * Fused, every rung is one 4x4 product with no zero entry.
+ */
+qc::Circuit
+rotatedKernelCircuit(std::size_t n)
+{
+    qc::Circuit c = denseKernelCircuit(n);
+    for (std::size_t q = 0; q + 1 < n; ++q) {
+        const double x = static_cast<double>(q);
+        c.ry(0.3 + 0.41 * x, q).ry(0.5 + 0.23 * x, q + 1);
+        c.cx(q, q + 1);
+    }
     return c;
 }
 
@@ -187,7 +207,7 @@ TEST(KernelIdentity, RunBasedProbabilityOfOneEqualsAPlainScan)
     // >= 14 span several kReduceGrain chunks and the lower qubits'
     // runs tile each chunk; either way the sum must be bit-equal to a
     // scan of every index that adds the set ones, under the same
-    // chunking.
+    // chunking. The chunks are summed as interleaved chains.
     constexpr std::size_t kWidth = 17;
     qc::Circuit circuit(kWidth);
     for (std::size_t q = 0; q < kWidth; ++q)
@@ -227,6 +247,54 @@ TEST(KernelIdentity, RunBasedProbabilityOfOneEqualsAPlainScan)
         lane.probabilitiesOfOne(q, lane_p1);
         ASSERT_EQ(lane_p1.size(), 1u);
         EXPECT_TRUE(bitEqual(lane_p1[0], scan)) << "lane, qubit " << q;
+    }
+
+    // Sixteen lanes of width 9 in distinct states: one P(1) sweep sums
+    // them as interleaved chains. Each lane's P(1) must be bit-equal to
+    // a chunked scan of that lane alone, serial and forced-parallel.
+    constexpr std::size_t kNarrow = 9, kLanes = 16;
+    constexpr std::size_t kDim = std::size_t{1} << kNarrow;
+    sim::StateLanes lanes(kNarrow, kLanes);
+    lanes.resetToZero(kLanes);
+    std::vector<sim::Matrix2> rotations;
+    for (std::size_t l = 0; l < kLanes; ++l) {
+        rotations.push_back(sim::gateMatrix1(qc::Gate(
+            qc::GateType::RY, {0}, {0.3 + 0.17 * static_cast<double>(l)})));
+    }
+    std::vector<const sim::Matrix2 *> per_lane(kLanes);
+    for (std::size_t q = 0; q < kNarrow; ++q) {
+        for (std::size_t l = 0; l < kLanes; ++l)
+            per_lane[l] = &rotations[(l + 3 * q) % kLanes];
+        lanes.applyPerLane(q, per_lane);
+    }
+    const qc::Circuit narrow = denseKernelCircuit(kNarrow);
+    for (const qc::Gate &g : narrow.gates())
+        lanes.applyGate(g);
+    const std::vector<sim::Complex> &lane_amps = lanes.amplitudes();
+    for (std::size_t q = 0; q < kNarrow; ++q) {
+        const std::size_t mask = std::size_t{1} << q;
+        for (bool parallel : {false, true}) {
+            kernels::setForceParallel(parallel);
+            kernels::setKernelJobs(parallel ? 4 : 1);
+            kernels::setKernelThreshold(parallel ? 1 : std::size_t{1} << 16);
+            lanes.probabilitiesOfOne(q, lane_p1);
+            ASSERT_EQ(lane_p1.size(), kLanes);
+            for (std::size_t l = 0; l < kLanes; ++l) {
+                const sim::Complex *lane = lane_amps.data() + l * kDim;
+                const double scan = kernels::reduceChunked<double>(
+                    kDim, [&](std::size_t b, std::size_t e) {
+                        double p = 0.0;
+                        for (std::size_t idx = b; idx < e; ++idx) {
+                            if (idx & mask)
+                                p += std::norm(lane[idx]);
+                        }
+                        return p;
+                    });
+                EXPECT_TRUE(bitEqual(lane_p1[l], scan))
+                    << "lane " << l << ", qubit " << q
+                    << (parallel ? ", parallel" : ", serial");
+            }
+        }
     }
 }
 
@@ -526,6 +594,140 @@ TEST(KernelPinned, DensityMatrixMatchesRecordedBits)
         EXPECT_EQ(fnv1a(six_casablanca.data(), six_casablanca.size()),
                   dist6_casablanca);
         EXPECT_EQ(fnv1a(six_aqt.data(), six_aqt.size()), dist6_aqt);
+    }
+}
+
+namespace {
+
+/**
+ * Sixteen lanes of width 6 through every per-lane kernel: a Pauli or
+ * nothing per lane on q0 and q3, a 2q gate with its second operand on
+ * bit 0, every relaxation kind with and without dephasing on q0 and
+ * q5, and a collapse. Returns the lanes' amplitudes followed by every
+ * qubit's per-lane P(1), as raw bits.
+ */
+std::vector<double>
+runLaneKernels()
+{
+    constexpr std::size_t kWidth = 6, kLanes = 16;
+    sim::StateLanes lanes(kWidth, kLanes);
+    lanes.resetToZero(kLanes);
+    const qc::Circuit circuit = denseKernelCircuit(kWidth);
+    for (const qc::Gate &g : circuit.gates())
+        lanes.applyGate(g);
+    const sim::Matrix2 paulis[3] = {
+        sim::gateMatrix1(qc::Gate(qc::GateType::X, {0})),
+        sim::gateMatrix1(qc::Gate(qc::GateType::Y, {0})),
+        sim::gateMatrix1(qc::Gate(qc::GateType::Z, {0})),
+    };
+    std::vector<const sim::Matrix2 *> per_lane(kLanes);
+    for (std::size_t q : {std::size_t{0}, std::size_t{3}}) {
+        for (std::size_t l = 0; l < kLanes; ++l) {
+            const std::size_t k = (l + q) % 4;
+            per_lane[l] = k == 0 ? nullptr : &paulis[k - 1];
+        }
+        lanes.applyPerLane(q, per_lane);
+    }
+    lanes.applyGate(qc::Gate(qc::GateType::RXX, {1, 0}, {0.7}));
+    for (std::size_t q : {std::size_t{0}, std::size_t{5}}) {
+        std::vector<sim::Relaxation> events(kLanes);
+        for (std::size_t l = 0; l < kLanes; ++l) {
+            sim::Relaxation &ev = events[l];
+            switch ((l + q) % 3) {
+              case 0:
+                ev.damping = sim::Relaxation::Damping::None;
+                break;
+              case 1:
+                ev.damping = sim::Relaxation::Damping::Decay;
+                ev.keep0 = 1.0 + 0.01 * static_cast<double>(l);
+                ev.keep1 = 0.9 - 0.01 * static_cast<double>(l);
+                break;
+              default:
+                ev.damping = sim::Relaxation::Damping::Jump;
+                ev.keep1 = 1.5 + 0.1 * static_cast<double>(l);
+                break;
+            }
+            ev.dephase = (l / 3) % 2 == 1;
+        }
+        lanes.relax(q, events);
+    }
+    std::vector<double> p1;
+    lanes.probabilitiesOfOne(2, p1);
+    std::vector<int> outcomes(kLanes);
+    for (std::size_t l = 0; l < kLanes; ++l)
+        outcomes[l] = static_cast<int>(l % 2);
+    lanes.collapse(2, outcomes, p1);
+
+    const std::vector<sim::Complex> &amps = lanes.amplitudes();
+    std::vector<double> bits(reinterpret_cast<const double *>(amps.data()),
+                             reinterpret_cast<const double *>(amps.data() +
+                                                              amps.size()));
+    for (std::size_t q = 0; q < kWidth; ++q) {
+        lanes.probabilitiesOfOne(q, p1);
+        bits.insert(bits.end(), p1.begin(), p1.end());
+    }
+    return bits;
+}
+
+} // namespace
+
+TEST(KernelPinned, StateVectorMatchesRecordedBits)
+{
+    // Values recorded from the per-run SIMD kernels and one-chain P(1)
+    // sums, before the range kernels and interleaved chains replaced
+    // them. Avx2MatchesScalarBitwise compares two paths of one build;
+    // these pins also catch a change that moves both at once. Pinned
+    // for x86-64 glibc only, as the density-matrix pins are.
+#if !defined(__x86_64__) || !defined(__GLIBC__)
+    GTEST_SKIP() << "bits pinned for x86-64 glibc builds only";
+#endif
+    struct Pinned
+    {
+        std::size_t n;
+        std::uint64_t hash;
+    };
+    const Pinned states[] = {
+        {2, 0x3b4781fdc6c83a0bull},
+        {3, 0x8061d3bae554f861ull},
+        {5, 0xed1e0c9c47ebd61full},
+        {8, 0xa551fb56dec1db45ull},
+    };
+    const std::uint64_t lanes_hash = 0x5d3758b9e72c339eull;
+    // Gate matrices have at most two nonzeros a row, which hides a
+    // change in the quad fold's order; the fused path's dense 4x4
+    // products do not.
+    const Pinned fused[] = {
+        {2, 0xc854b93c059ca4afull},
+        {3, 0x3d5fb03f32ee26e7ull},
+        {5, 0x8f1ba58879517b79ull},
+        {8, 0x24a60b94e3ef79ceull},
+    };
+
+    kernels::KernelConfigGuard guard;
+    std::vector<kernels::SimdMode> modes = {kernels::SimdMode::Scalar};
+    if (kernels::avx2Supported())
+        modes.push_back(kernels::SimdMode::Avx2);
+    for (kernels::SimdMode mode : modes) {
+        kernels::setSimdMode(mode);
+        SCOPED_TRACE(kernels::usingAvx2() ? "avx2" : "scalar");
+        for (const Pinned &p : states) {
+            const std::vector<sim::Complex> amps =
+                runStateVector(denseKernelCircuit(p.n));
+            EXPECT_EQ(fnv1a(amps.data(), amps.size() * sizeof(sim::Complex)),
+                      p.hash)
+                << "width " << p.n;
+        }
+        const std::vector<double> bits = runLaneKernels();
+        EXPECT_EQ(fnv1a(bits.data(), bits.size() * sizeof(double)),
+                  lanes_hash);
+        for (const Pinned &p : fused) {
+            const sim::StateVector sv =
+                sim::finalState(rotatedKernelCircuit(p.n));
+            EXPECT_EQ(fnv1a(sv.amplitudes().data(),
+                            sv.amplitudes().size() * sizeof(sim::Complex)),
+                      p.hash)
+                << "fused, width " << p.n;
+        }
     }
 }
 

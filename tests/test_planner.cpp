@@ -522,6 +522,69 @@ TEST(TrajectoryLanes, HistogramsMatchTheOneTrajectoryAtATimeEngine)
     obs::setMetricsEnabled(metrics_were_on);
 }
 
+/** ry on q0, a cx chain and an rz: qubit k idles untouched for its
+ *  first k moments. Terminal, non-Clifford, four classical bits. */
+qc::Circuit
+laneChain(std::size_t n)
+{
+    qc::Circuit c(n, 4, "lanes-chain");
+    c.ry(0.4, 0);
+    for (std::size_t q = 1; q < n; ++q)
+        c.cx(q - 1, q);
+    c.rz(0.3, n - 1);
+    c.measure(0, 0);
+    c.measure(n / 3, 1);
+    c.measure(2 * n / 3, 2);
+    c.measure(n - 1, 3);
+    return c;
+}
+
+TEST(TrajectoryLanes, UntouchedQubitsKeepEveryDraw)
+{
+    // The other lane circuits put a gate on every qubit in moment 0.
+    // Here most idle steps fall on qubits no instruction has touched
+    // yet, whose P(1) and relax passes the engine skips while still
+    // drawing each lane's event. Recorded with the engine that ran
+    // both passes on every idle qubit. 330 shots at 20 per trajectory
+    // is 17 trajectories; width 16 has four reduce chunks per lane.
+    struct Pin
+    {
+        std::size_t width;
+        std::uint64_t lanes;
+        const char *histogram;
+    };
+    const Pin pins[] = {
+        {10, 16,
+         "0000:241 0001:24 0010:7 0011:2 0100:4 0110:1 0111:15 1000:6 "
+         "1001:1 1011:2 1101:2 1110:2 1111:23"},
+        {11, 8,
+         "0000:217 0001:14 0010:3 0011:37 0100:4 0110:1 1000:3 1001:1 "
+         "1011:2 1101:1 1111:47"},
+        {14, 1,
+         "0000:262 0001:7 0010:4 0011:36 0100:3 0111:1 1000:6 1001:1 "
+         "1011:1 1100:2 1111:7"},
+        {16, 1,
+         "0000:274 0001:6 0010:32 0011:1 0100:4 0110:1 1000:5 1010:2 "
+         "1111:5"},
+    };
+    const bool metrics_were_on = obs::metricsEnabled();
+    obs::setMetricsEnabled(true);
+    obs::Counter &batches =
+        obs::counter(obs::names::kSimTrajectoryBatches);
+    for (const Pin &pin : pins) {
+        const qc::Circuit chain = laneChain(pin.width);
+        ASSERT_EQ(sim::planCircuit(chain, laneNoise()).token(),
+                  "trajectory:width>dm-cutoff");
+        const std::uint64_t before = batches.value();
+        EXPECT_EQ(renderCounts(runLaneCircuit(chain, 330, 2000 + pin.width)),
+                  pin.histogram)
+            << "width " << pin.width;
+        EXPECT_EQ(batches.value() - before, (17 + pin.lanes - 1) / pin.lanes)
+            << "batches, width " << pin.width;
+    }
+    obs::setMetricsEnabled(metrics_were_on);
+}
+
 TEST(TrajectoryLanes, MidCircuitHookInsideABatchEqualsTheShorterRun)
 {
     // Width 10 runs 16 lanes a batch: the hook fires inside the third.
