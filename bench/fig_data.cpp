@@ -505,7 +505,7 @@ computeGrid(const Scale &scale,
 
     jobs::JobOptions job_options;
     job_options.harness.repetitions = scale.repetitions;
-    job_options.harness.backend = scale.backend;
+    job_options.harness.planner.force = scale.backend;
     job_options.stop = util::stopRequested;
 
     const std::size_t n_rows = suite.size();

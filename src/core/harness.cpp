@@ -61,11 +61,8 @@ prepareCircuits(const Benchmark &benchmark, const device::Device &device,
         // Record the backend decision next to the circuit it covers:
         // planCircuit is pure, so the plan journaled here is exactly
         // the one the runner re-derives at execution time.
-        sim::PlannerConfig config = options.planner;
-        if (options.backend != sim::BackendKind::Auto)
-            config.force = options.backend;
         prepared.plans.push_back(
-            sim::planCircuit(compact, device.noise, config));
+            sim::planCircuit(compact, device.noise, options.planner));
         prepared.circuits.push_back(std::move(compact));
     }
     return prepared;
@@ -75,7 +72,7 @@ double
 runRepetition(const Benchmark &benchmark, const PreparedCircuits &prepared,
               const sim::NoiseModel &noise, std::uint64_t shots,
               stats::Rng &rng, const sim::FaultHook &faultHook,
-              sim::BackendKind backend, const sim::PlannerConfig &planner)
+              const sim::PlannerConfig &planner)
 {
     std::vector<stats::Counts> counts;
     counts.reserve(prepared.circuits.size());
@@ -84,7 +81,6 @@ runRepetition(const Benchmark &benchmark, const PreparedCircuits &prepared,
         ro.shots = shots;
         ro.noise = noise;
         ro.faultHook = faultHook;
-        ro.backend = backend;
         ro.planner = planner;
         counts.push_back(sim::run(circuit, ro, rng));
     }
@@ -146,7 +142,7 @@ runBenchmark(const Benchmark &benchmark, const device::Device &device,
                 stats::Rng rng(util::deriveTaskSeed(options.seed, rep));
                 run.scores[rep] = runRepetition(
                     benchmark, prepared, device.noise, options.shots,
-                    rng, {}, options.backend, options.planner);
+                    rng, {}, options.planner);
                 obs::progressTick(obs::names::kSpanRepetition);
             });
     } catch (const sim::ResourceExhausted &e) {
@@ -202,7 +198,7 @@ makeRunManifest(const std::string &tool, const HarnessOptions &options)
     manifest.jobs = options.jobs;
     // The requested engine; per-job manifests additionally carry the
     // resolved per-cell plan (chosen backend + reason).
-    manifest.extra["sim.backend"] = sim::toString(options.backend);
+    manifest.extra["sim.backend"] = sim::toString(options.planner.force);
     return manifest;
 }
 

@@ -47,11 +47,9 @@ struct HarnessOptions
      */
     std::size_t maxSimQubits = 22;
     /**
-     * Simulation engine (--backend): Auto lets the planner pick the
-     * cheapest faithful backend per circuit; anything else forces it.
+     * Planner knobs. planner.force (--backend) forces an engine; Auto
+     * lets the planner pick the cheapest faithful one per circuit.
      */
-    sim::BackendKind backend = sim::BackendKind::Auto;
-    /** Planner knobs consulted when backend == Auto. */
     sim::PlannerConfig planner;
 };
 
@@ -119,7 +117,6 @@ double runRepetition(const Benchmark &benchmark,
                      const sim::NoiseModel &noise, std::uint64_t shots,
                      stats::Rng &rng,
                      const sim::FaultHook &faultHook = {},
-                     sim::BackendKind backend = sim::BackendKind::Auto,
                      const sim::PlannerConfig &planner = {});
 
 /** Run one benchmark on one device (no retries; throws on bad input). */

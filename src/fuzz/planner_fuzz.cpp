@@ -105,7 +105,7 @@ runPlannerFuzz(const PlannerFuzzOptions &options)
             stats::Rng auto_rng(util::deriveTaskSeed(case_seed, 1));
             auto_counts = sim::run(circuit, ro, auto_rng);
             sim::RunOptions forced = ro;
-            forced.backend = plan.backend;
+            forced.planner.force = plan.backend;
             stats::Rng forced_rng(util::deriveTaskSeed(case_seed, 1));
             forced_counts = sim::run(circuit, forced, forced_rng);
         } catch (const std::exception &e) {

@@ -231,7 +231,7 @@ runJobImpl(const core::Benchmark &benchmark, const device::Device &device,
             try {
                 run.scores.push_back(core::runRepetition(
                     benchmark, prepared, noise, eff_shots, sim_rng, {},
-                    options.harness.backend, options.harness.planner));
+                    options.harness.planner));
             } catch (const sim::ResourceExhausted &e) {
                 // The simulator refused the allocation up front: the
                 // cell is structurally too large, end it here rather

@@ -209,7 +209,7 @@ serveMain(const std::vector<std::string> &args, std::istream &in,
         if (!options.manifestDir.empty()) {
             core::HarnessOptions harness;
             harness.maxSimQubits = options.maxSimQubits;
-            harness.backend = options.backend;
+            harness.planner.force = options.backend;
             obs::RunManifest manifest =
                 core::makeRunManifest("smq_serve", harness);
             const JobCounts counts = server.jobCounts();

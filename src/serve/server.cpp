@@ -251,7 +251,7 @@ Server::executeJob(Job &job)
     options.harness.seed = job.spec.seed;
     options.harness.jobs = 1; // concurrency comes from the worker pool
     options.harness.maxSimQubits = options_.maxSimQubits;
-    options.harness.backend = options_.backend;
+    options.harness.planner.force = options_.backend;
     options.stop = [this, &job] {
         return job.cancelRequested.load(std::memory_order_relaxed) ||
                stopping_.load(std::memory_order_relaxed) ||

@@ -5,7 +5,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
-#include "qc/schedule.hpp"
 #include "sim/backend.hpp"
 #include "sim/dense_kernels.hpp"
 #include "sim/kernels.hpp"
@@ -225,22 +224,6 @@ DensityMatrix::depolarize2(std::size_t qa, std::size_t qb, double p)
 }
 
 void
-DensityMatrix::amplitudeDamp(std::size_t q, double gamma)
-{
-    if (gamma <= 0.0)
-        return;
-    thermalRelax(q, gamma, 0.0);
-}
-
-void
-DensityMatrix::dephase(std::size_t q, double p)
-{
-    if (p <= 0.0)
-        return;
-    thermalRelax(q, 0.0, p);
-}
-
-void
 DensityMatrix::thermalRelax(std::size_t q, double gamma, double pz)
 {
     if (gamma <= 0.0 && pz <= 0.0)
@@ -320,44 +303,55 @@ noisyDistribution(const qc::Circuit &circuit, const NoiseModel &noise)
         rho.applyFused(fuseUnitaryCircuit(split.body));
         return clbitDistribution(rho.probabilities(), split.clbitSource);
     }
-    // Mirror the trajectory runner's moment loop.
-    qc::Schedule sched = qc::schedule(split.body);
-    const auto &gates = split.body.gates();
-    std::vector<bool> active(circuit.numQubits(), false);
-    for (const auto &moment : sched.moments) {
-        double duration = 0.0;
-        active.assign(circuit.numQubits(), false);
-        for (std::size_t idx : moment) {
-            const qc::Gate &g = gates[idx];
-            duration = std::max(duration, g.qubits.size() >= 2
-                                              ? noise.time2q
-                                              : noise.time1q);
-            for (qc::Qubit q : g.qubits)
-                active[q] = true;
-            rho.applyGate(g);
-            if (g.qubits.size() == 1)
-                rho.depolarize1(g.qubits[0], noise.p1);
-            else if (g.qubits.size() == 2)
-                rho.depolarize2(g.qubits[0], g.qubits[1], noise.p2);
-        }
-        if (duration > 0.0) {
-            const IdleChannel idle = noise.idleChannel(duration);
-            for (std::size_t q = 0; q < circuit.numQubits(); ++q) {
-                if (!active[q])
-                    rho.thermalRelax(q, idle.damp, idle.dephase);
-            }
+    const NoisySteps plan = noisySteps(split.body, noise);
+    for (const NoisyStep &step : plan.steps) {
+        switch (step.kind) {
+          case NoisyStep::Kind::Gate:
+            rho.applyGate(split.body.gates()[step.index]);
+            break;
+          case NoisyStep::Kind::Pauli1:
+            rho.depolarize1(step.q0, step.p);
+            break;
+          case NoisyStep::Kind::Pauli2:
+            rho.depolarize2(step.q0, step.q1, step.p);
+            break;
+          case NoisyStep::Kind::Idle: {
+            const IdleChannel &idle = plan.idle[step.index];
+            rho.thermalRelax(step.q0, idle.damp, idle.dephase);
+            break;
+          }
+          case NoisyStep::Kind::Measure:
+          case NoisyStep::Kind::Reset:
+            break; // splitTerminal leaves neither in the body
         }
     }
 
+    // Readout error: a qubit read into a second classical bit gets an
+    // index bit of its own that copies the qubit's bit, and then every
+    // measured bit flips independently, in ascending order.
     std::vector<double> probs = rho.probabilities();
-    // Readout error: independent classical flips on measured qubits.
+    std::vector<std::ptrdiff_t> source = split.clbitSource;
     if (noise.pMeas > 0.0) {
         std::vector<bool> measured(circuit.numQubits(), false);
-        for (std::ptrdiff_t q : split.clbitSource) {
-            if (q >= 0)
-                measured[static_cast<std::size_t>(q)] = true;
+        for (std::ptrdiff_t &bit : source) {
+            if (bit < 0)
+                continue;
+            const auto q = static_cast<std::size_t>(bit);
+            if (!measured[q]) {
+                measured[q] = true;
+                continue;
+            }
+            const std::size_t copy = measured.size();
+            checkAllocationBudget("density_matrix readout copies",
+                                  denseBytes(copy + 1, sizeof(double), false));
+            std::vector<double> wider(2 * probs.size(), 0.0);
+            for (std::size_t s = 0; s < probs.size(); ++s)
+                wider[s | (((s >> q) & 1) << copy)] = probs[s];
+            probs = std::move(wider);
+            measured.push_back(true);
+            bit = static_cast<std::ptrdiff_t>(copy);
         }
-        for (std::size_t q = 0; q < circuit.numQubits(); ++q) {
+        for (std::size_t q = 0; q < measured.size(); ++q) {
             if (!measured[q])
                 continue;
             std::size_t mask = std::size_t{1} << q;
@@ -369,7 +363,7 @@ noisyDistribution(const qc::Circuit &circuit, const NoiseModel &noise)
             probs = std::move(next);
         }
     }
-    return clbitDistribution(probs, split.clbitSource);
+    return clbitDistribution(probs, source);
 }
 
 } // namespace smq::sim

@@ -66,17 +66,11 @@ class DensityMatrix
     /** Two-qubit depolarising channel with probability p. */
     void depolarize2(std::size_t qa, std::size_t qb, double p);
 
-    /** Amplitude damping toward |0> with probability gamma. */
-    void amplitudeDamp(std::size_t q, double gamma);
-
-    /** Phase damping: Z flip with probability p (Pauli-twirled). */
-    void dephase(std::size_t q, double p);
-
     /**
-     * Combined idle-qubit channel: amplitude damping (gamma) followed
-     * by Pauli-twirled dephasing (pz), composed in closed form so the
-     * per-moment idle loop touches rho once instead of running two
-     * Kraus channels back to back.
+     * Idle-qubit channel: amplitude damping toward |0> (gamma) followed
+     * by Pauli-twirled dephasing, a Z flip with probability pz,
+     * composed in closed form so an idle step touches rho once
+     * instead of running two Kraus channels back to back.
      */
     void thermalRelax(std::size_t q, double gamma, double pz);
 
@@ -99,8 +93,9 @@ class DensityMatrix
 
 /**
  * Exact output distribution of a terminal-measurement circuit under
- * the noise model: gate depolarising + per-moment idle relaxation +
- * readout flips, mirroring the trajectory runner's channel placement.
+ * the noise model: the body's noisy steps (sim/noise.hpp) as exact
+ * channels, gate errors as depolarising, then an independent readout
+ * flip on each measurement.
  */
 stats::Distribution
 noisyDistribution(const qc::Circuit &circuit, const NoiseModel &noise);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "qc/schedule.hpp"
+
 namespace smq::sim {
 
 NoiseModel
@@ -34,29 +36,94 @@ NoiseModel::dephasingRate() const
     return std::max(rate, 0.0);
 }
 
-double
-NoiseModel::idleDampingProbability(double dt) const
-{
-    if (t1 <= 0.0 || dt <= 0.0)
-        return 0.0;
-    return 1.0 - std::exp(-dt / t1);
-}
-
-double
-NoiseModel::idleDephasingProbability(double dt) const
-{
-    double rate = dephasingRate();
-    if (rate <= 0.0 || dt <= 0.0)
-        return 0.0;
-    // Pauli-twirled pure dephasing: Z flip with prob (1 - e^{-t/Tphi})/2
-    return 0.5 * (1.0 - std::exp(-dt * rate));
-}
-
 IdleChannel
 NoiseModel::idleChannel(double dt) const
 {
-    return IdleChannel{idleDampingProbability(dt),
-                       idleDephasingProbability(dt)};
+    IdleChannel idle;
+    if (t1 > 0.0 && dt > 0.0)
+        idle.damp = 1.0 - std::exp(-dt / t1);
+    // Pauli-twirled pure dephasing: Z flip with prob (1 - e^{-t/Tphi})/2
+    const double rate = dephasingRate();
+    if (rate > 0.0 && dt > 0.0)
+        idle.dephase = 0.5 * (1.0 - std::exp(-dt * rate));
+    return idle;
+}
+
+NoisySteps
+noisySteps(const qc::Circuit &circuit, const NoiseModel &noise)
+{
+    using Kind = NoisyStep::Kind;
+    // A disabled model places no noise: every time and rate is 0.
+    const NoiseModel model = noise.enabled ? noise : NoiseModel::ideal();
+    const qc::Schedule sched = qc::schedule(circuit);
+    const std::size_t width = circuit.numQubits();
+    std::vector<double> durations(sched.depth(), 0.0);
+    // Walked twice: once to count the steps for an exact reserve, once
+    // to list them.
+    auto walk = [&](auto &&emit) {
+        // 1 + the last moment with an instruction on each qubit (0: none).
+        std::vector<std::size_t> lastBusy(width, 0);
+        for (std::size_t m = 0; m < sched.depth(); ++m) {
+            double duration = 0.0;
+            for (std::size_t idx : sched.moments[m]) {
+                const qc::Gate &g = circuit.gates()[idx];
+                NoisyStep step{Kind::Gate, false,
+                               static_cast<std::uint32_t>(idx),
+                               g.qubits.front(), g.qubits.back(), 0.0};
+                const bool measure = g.type == qc::GateType::MEASURE;
+                if (measure || g.type == qc::GateType::RESET) {
+                    step.kind = measure ? Kind::Measure : Kind::Reset;
+                    step.p = measure ? model.pMeas : model.pReset;
+                    duration = std::max(duration, model.timeMeas);
+                    emit(step);
+                } else {
+                    const std::size_t arity = g.qubits.size();
+                    duration = std::max(duration, arity >= 2 ? model.time2q
+                                                             : model.time1q);
+                    emit(step);
+                    // Only 1q and 2q gates carry an error: Table II has
+                    // no 3-qubit rate.
+                    step.kind = arity == 1 ? Kind::Pauli1 : Kind::Pauli2;
+                    step.p = arity == 1 ? model.p1
+                                        : (arity == 2 ? model.p2 : 0.0);
+                    if (step.p > 0.0)
+                        emit(step);
+                }
+                for (qc::Qubit q : g.qubits)
+                    lastBusy[q] = m + 1;
+            }
+            durations[m] = duration;
+            if (duration <= 0.0)
+                continue;
+            for (std::size_t q = 0; q < width; ++q) {
+                const auto qubit = static_cast<qc::Qubit>(q);
+                if (lastBusy[q] != m + 1)
+                    emit(NoisyStep{Kind::Idle, lastBusy[q] == 0,
+                                   static_cast<std::uint32_t>(m), qubit,
+                                   qubit, 0.0});
+            }
+        }
+    };
+    NoisySteps out;
+    std::size_t count = 0;
+    walk([&](const NoisyStep &) { ++count; });
+    out.steps.reserve(count);
+    walk([&](const NoisyStep &step) { out.steps.push_back(step); });
+    out.idle.reserve(durations.size());
+    for (double duration : durations)
+        out.idle.push_back(model.idleChannel(duration));
+    return out;
+}
+
+std::size_t
+drawPauli(const NoisyStep &step, stats::Rng &rng)
+{
+    if (!rng.bernoulli(step.p))
+        return 0;
+    // Uniform over the non-identity Paulis: 3 on one qubit, 15 on two.
+    if (step.kind == NoisyStep::Kind::Pauli1)
+        return 4 * (1 + rng.index(3));
+    return 1 + rng.index(15);
 }
 
 } // namespace smq::sim

@@ -6,7 +6,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
-#include "qc/schedule.hpp"
 #include "sim/density_matrix.hpp"
 #include "sim/kernels.hpp"
 #include "sim/memory.hpp"
@@ -86,18 +85,6 @@ pauli(std::size_t k)
     return k == 0 ? nullptr : &paulis[k - 1];
 }
 
-double
-gateDuration(const qc::Gate &gate, const NoiseModel &noise)
-{
-    if (gate.type == qc::GateType::MEASURE ||
-        gate.type == qc::GateType::RESET) {
-        return noise.timeMeas;
-    }
-    if (gate.qubits.size() >= 2)
-        return noise.time2q;
-    return noise.time1q;
-}
-
 /**
  * Draw one lane's idle thermal relaxation on a qubit whose P(1) is
  * @p p1 (read only when idle.damp > 0): amplitude damping as an exact
@@ -126,28 +113,21 @@ drawRelaxation(const IdleChannel &idle, double p1, stats::Rng &rng)
 }
 
 /**
- * One batch of lockstep trajectories through a scheduled circuit.
+ * One batch of lockstep trajectories through a circuit's noisy steps.
  * Lane l runs the trajectory whose stream is rngs[l]: each of its
  * stochastic events is drawn from rngs[l] in the order a lone
  * trajectory draws it and applied only to the lanes it hits, so every
- * lane reproduces its lone trajectory exactly. Every circuit step is
- * one kernel over all lanes.
+ * lane reproduces its lone trajectory exactly. Every step is one
+ * kernel over all lanes.
  */
 class LaneBatch
 {
   public:
     LaneBatch(const qc::Circuit &circuit, const NoiseModel &noise,
               StateLanes &state)
-        : circuit_(circuit), sched_(qc::schedule(circuit)), noise_(noise),
-          state_(state),
-          firstTouch_(circuit.numQubits(), sched_.moments.size())
+        : circuit_(circuit), plan_(noisySteps(circuit, noise)),
+          state_(state)
     {
-        for (std::size_t m = 0; m < sched_.moments.size(); ++m) {
-            for (std::size_t idx : sched_.moments[m]) {
-                for (qc::Qubit q : circuit_.gates()[idx].qubits)
-                    firstTouch_[q] = std::min(firstTouch_[q], m);
-            }
-        }
     }
 
     /** Run one lane per stream of @p rngs; clbits()[l] is lane l's. */
@@ -162,112 +142,79 @@ class LaneBatch
         first_.assign(lanes, nullptr);
         second_.assign(lanes, nullptr);
         relax_.assign(lanes, Relaxation{});
-
-        const std::size_t width = circuit_.numQubits();
-        std::vector<bool> active(width, false);
-        for (std::size_t m = 0; m < sched_.moments.size(); ++m) {
-            double duration = 0.0;
-            active.assign(width, false);
-            for (std::size_t idx : sched_.moments[m]) {
-                const qc::Gate &g = circuit_.gates()[idx];
-                if (noise_.enabled)
-                    duration = std::max(duration, gateDuration(g, noise_));
-                for (qc::Qubit q : g.qubits)
-                    active[q] = true;
-                step(g, rngs);
-            }
-            if (!noise_.enabled || duration <= 0.0)
-                continue;
-            const IdleChannel idle = noise_.idleChannel(duration);
-            for (std::size_t q = 0; q < width; ++q) {
-                if (active[q])
-                    continue;
-                if (m < firstTouch_[q]) {
-                    // Still |0> in every lane: P(1) is exactly 0 and the
-                    // event can only flip the sign of a zero amplitude,
-                    // so draw it and skip both passes.
-                    for (std::size_t l = 0; l < lanes; ++l)
-                        drawRelaxation(idle, 0.0, rngs[l]);
-                    continue;
-                }
-                if (idle.damp > 0.0)
-                    state_.probabilitiesOfOne(q, p1_);
-                for (std::size_t l = 0; l < lanes; ++l)
-                    relax_[l] = drawRelaxation(idle, p1_[l], rngs[l]);
-                state_.relax(q, relax_);
-            }
-        }
+        for (const NoisyStep &s : plan_.steps)
+            step(s, rngs);
     }
 
     const std::vector<std::string> &clbits() const { return clbits_; }
 
   private:
-    /** One instruction on every lane, with its per-lane noise. */
+    /** One noisy step on every lane. */
     void
-    step(const qc::Gate &g, std::vector<stats::Rng> &rngs)
+    step(const NoisyStep &s, std::vector<stats::Rng> &rngs)
     {
         const std::size_t lanes = rngs.size();
-        switch (g.type) {
-          case qc::GateType::MEASURE:
-            state_.probabilitiesOfOne(g.qubits[0], p1_);
+        switch (s.kind) {
+          case NoisyStep::Kind::Gate:
+            state_.applyGate(circuit_.gates()[s.index]);
+            return;
+          case NoisyStep::Kind::Measure: {
+            const auto cbit =
+                static_cast<std::size_t>(circuit_.gates()[s.index].cbit);
+            state_.probabilitiesOfOne(s.q0, p1_);
             for (std::size_t l = 0; l < lanes; ++l) {
                 outcome_[l] = rngs[l].bernoulli(p1_[l]) ? 1 : 0;
-                const bool flip =
-                    noise_.enabled && rngs[l].bernoulli(noise_.pMeas);
-                clbits_[l][static_cast<std::size_t>(g.cbit)] =
-                    (outcome_[l] == 1) != flip ? '1' : '0';
+                const bool flip = rngs[l].bernoulli(s.p);
+                clbits_[l][cbit] = (outcome_[l] == 1) != flip ? '1' : '0';
             }
-            state_.collapse(g.qubits[0], outcome_, p1_);
+            state_.collapse(s.q0, outcome_, p1_);
             return;
-          case qc::GateType::RESET:
+          }
+          case NoisyStep::Kind::Reset:
             // Measure, flip a 1 back to |0>, then the residual
             // excitation of an imperfect reset.
-            state_.probabilitiesOfOne(g.qubits[0], p1_);
+            state_.probabilitiesOfOne(s.q0, p1_);
             for (std::size_t l = 0; l < lanes; ++l) {
                 outcome_[l] = rngs[l].bernoulli(p1_[l]) ? 1 : 0;
                 first_[l] = outcome_[l] == 1 ? pauli(1) : nullptr;
-                second_[l] = noise_.enabled &&
-                                     rngs[l].bernoulli(noise_.pReset)
-                                 ? pauli(1)
-                                 : nullptr;
+                second_[l] = rngs[l].bernoulli(s.p) ? pauli(1) : nullptr;
             }
-            state_.collapse(g.qubits[0], outcome_, p1_);
-            state_.applyPerLane(g.qubits[0], first_);
-            state_.applyPerLane(g.qubits[0], second_);
+            state_.collapse(s.q0, outcome_, p1_);
+            state_.applyPerLane(s.q0, first_);
+            state_.applyPerLane(s.q0, second_);
             return;
-          default:
-            break;
-        }
-        state_.applyGate(g);
-        if (!noise_.enabled)
+          case NoisyStep::Kind::Pauli1:
+          case NoisyStep::Kind::Pauli2:
+            for (std::size_t l = 0; l < lanes; ++l) {
+                const std::size_t code = drawPauli(s, rngs[l]);
+                first_[l] = pauli(code / 4);
+                second_[l] = pauli(code % 4);
+            }
+            state_.applyPerLane(s.q0, first_);
+            state_.applyPerLane(s.q1, second_);
             return;
-        if (g.qubits.size() == 1) {
-            // A random non-identity Pauli.
-            for (std::size_t l = 0; l < lanes; ++l) {
-                first_[l] = rngs[l].bernoulli(noise_.p1)
-                                ? pauli(1 + rngs[l].index(3))
-                                : nullptr;
+          case NoisyStep::Kind::Idle: {
+            const IdleChannel &idle = plan_.idle[s.index];
+            if (s.untouched) {
+                // Still |0> in every lane: P(1) is exactly 0 and the
+                // event can only flip the sign of a zero amplitude,
+                // so draw it and skip both passes.
+                for (std::size_t l = 0; l < lanes; ++l)
+                    drawRelaxation(idle, 0.0, rngs[l]);
+                return;
             }
-            state_.applyPerLane(g.qubits[0], first_);
-        } else if (g.qubits.size() >= 2) {
-            // Uniform over the 15 non-identity two-qubit Paulis, as
-            // base-4 digits (pa, pb) on the first two operands.
-            for (std::size_t l = 0; l < lanes; ++l) {
-                first_[l] = second_[l] = nullptr;
-                if (rngs[l].bernoulli(noise_.p2)) {
-                    const std::size_t choice = rngs[l].index(15) + 1;
-                    first_[l] = pauli(choice / 4);
-                    second_[l] = pauli(choice % 4);
-                }
-            }
-            state_.applyPerLane(g.qubits[0], first_);
-            state_.applyPerLane(g.qubits[1], second_);
+            if (idle.damp > 0.0)
+                state_.probabilitiesOfOne(s.q0, p1_);
+            for (std::size_t l = 0; l < lanes; ++l)
+                relax_[l] = drawRelaxation(idle, p1_[l], rngs[l]);
+            state_.relax(s.q0, relax_);
+            return;
+          }
         }
     }
 
     const qc::Circuit &circuit_;
-    const qc::Schedule sched_;
-    const NoiseModel &noise_;
+    const NoisySteps plan_;
     StateLanes &state_;
     std::vector<std::string> clbits_;
     // Per-lane working arrays, reused across steps.
@@ -276,21 +223,18 @@ class LaneBatch
     std::vector<const Matrix2 *> first_;
     std::vector<const Matrix2 *> second_;
     std::vector<Relaxation> relax_;
-    /** First moment with an instruction on each qubit (depth: none). */
-    std::vector<std::size_t> firstTouch_;
 };
 
-/** Index of the last MEASURE instruction. @pre measureCount() > 0. */
+/** Index of the last MEASURE instruction; gates().size() if none. */
 std::size_t
 lastMeasureIndex(const qc::Circuit &circuit)
 {
     const auto &gates = circuit.gates();
-    std::size_t last = 0;
-    for (std::size_t i = 0; i < gates.size(); ++i) {
+    for (std::size_t i = gates.size(); i-- > 0;) {
         if (gates[i].type == qc::GateType::MEASURE)
-            last = i;
+            return i;
     }
-    return last;
+    return gates.size();
 }
 
 /**
@@ -298,6 +242,7 @@ lastMeasureIndex(const qc::Circuit &circuit)
  * the last MEASURE (cleanup RESETs, barriers, uncomputation gates)
  * cannot influence a recorded bit, and would trip the exact engines'
  * terminal-measurement validation if left in place.
+ * @pre circuit.measureCount() > 0.
  */
 qc::Circuit
 terminalCore(const qc::Circuit &circuit)
@@ -469,13 +414,7 @@ hasMidCircuitOperations(const qc::Circuit &circuit)
     const auto &gates = circuit.gates();
     // Only operations up to the last MEASURE can influence a recorded
     // bit: scan that prefix and ignore the non-operational tail.
-    std::size_t last_measure = gates.size();
-    for (std::size_t i = gates.size(); i-- > 0;) {
-        if (gates[i].type == qc::GateType::MEASURE) {
-            last_measure = i;
-            break;
-        }
-    }
+    const std::size_t last_measure = lastMeasureIndex(circuit);
     if (last_measure == gates.size())
         return false; // no measurement at all: nothing to collapse into
 
@@ -515,11 +454,8 @@ run(const qc::Circuit &circuit, const RunOptions &options, stats::Rng &rng)
         shots_counter.add(options.shots);
     }
 
-    PlannerConfig config = options.planner;
-    if (options.backend != BackendKind::Auto)
-        config.force = options.backend;
-    const Plan plan = planCircuit(circuit, options.noise, config);
-    countPlan(plan, config.force != BackendKind::Auto);
+    const Plan plan = planCircuit(circuit, options.noise, options.planner);
+    countPlan(plan, options.planner.force != BackendKind::Auto);
 
     switch (plan.backend) {
       case BackendKind::Stabilizer:

@@ -10,21 +10,20 @@
  * run() is a dispatcher over pluggable backends (sim/backend.hpp):
  * exact ideal sampling and noise trajectories on the statevector,
  * exact Kraus channels on the density matrix, and the CHP tableau for
- * Clifford circuits. With options.backend == Auto the planner
- * (sim/planner.hpp) picks the cheapest faithful engine per circuit;
- * an explicit backend skips planning and is executed as forced.
+ * Clifford circuits. The planner (sim/planner.hpp) picks the cheapest
+ * faithful engine per circuit, unless options.planner.force names one.
  *
- * Noise trajectories use stochastic Pauli insertions for gate error,
- * per-moment thermal relaxation of idle qubits (moment durations from
- * gate times), and classical readout flips. Circuits whose
- * measurements are all terminal amortise several shots per trajectory;
- * mid-circuit measurement / RESET (the error-correction benchmarks)
- * force one trajectory per shot because the collapse is
+ * Every noisy engine interprets the same noisySteps list
+ * (sim/noise.hpp). Trajectories draw its Pauli errors, unravel idle
+ * relaxation into jump/no-jump events and flip readouts. Circuits
+ * whose measurements are all terminal amortise several shots per
+ * trajectory; mid-circuit measurement / RESET (the error-correction
+ * benchmarks) force one trajectory per shot because the collapse is
  * outcome-dependent. Each trajectory draws from its own
  * deriveTaskSeed-derived stream, so a truncated run's histogram is an
  * exact prefix of the full run's. Trajectories run in lockstep
- * batches of up to 16 lanes (StateLanes), one kernel per circuit step
- * for the whole batch; a lane reproduces its lone trajectory exactly.
+ * batches of up to 16 lanes (StateLanes), one kernel per step for the
+ * whole batch; a lane reproduces its lone trajectory exactly.
  */
 
 #ifndef SMQ_SIM_RUNNER_HPP
@@ -65,9 +64,7 @@ struct RunOptions
     std::uint64_t shotsPerTrajectory = 20;
     /** Optional mid-execution interruption (empty = never fires). */
     FaultHook faultHook;
-    /** Engine selection: Auto = planner-chosen, else forced. */
-    BackendKind backend = BackendKind::Auto;
-    /** Planner knobs consulted when backend == Auto. */
+    /** The planner's knobs; planner.force forces an engine. */
     PlannerConfig planner;
 };
 

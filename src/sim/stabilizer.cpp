@@ -5,7 +5,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "qc/schedule.hpp"
 #include "sim/kernels.hpp"
 
 namespace smq::sim {
@@ -241,40 +240,13 @@ StabilizerSimulator::isDeterministic(std::size_t q) const
 int
 StabilizerSimulator::measure(std::size_t q, stats::Rng &rng)
 {
-    const std::size_t n = numQubits_;
-    // find a stabilizer anticommuting with Z_q
-    std::size_t p = 2 * n;
-    for (std::size_t row = n; row < 2 * n; ++row) {
-        if (xBit(row, q)) {
-            p = row;
-            break;
-        }
-    }
-    if (p < 2 * n) {
-        // random outcome: each rowsum(row, p) writes only row `row`
-        // and reads only row p, so all 2n candidates run in parallel
-        kernels::forEachRange(
-            2 * n, 2 * n * words_, [&](std::size_t b, std::size_t e) {
-                for (std::size_t row = b; row < e; ++row) {
-                    if (row != p && xBit(row, q))
-                        rowsum(row, p);
-                }
-            });
-        copyRow(p - n, p);
-        clearRow(p);
-        setZ(p, q, true);
-        int outcome = rng.bernoulli(0.5) ? 1 : 0;
-        r_[p] = static_cast<std::uint8_t>(outcome);
+    // A random outcome is a fair coin, drawn before the collapse.
+    if (!isDeterministic(q)) {
+        const int outcome = rng.bernoulli(0.5) ? 1 : 0;
+        measureForced(q, outcome);
         return outcome;
     }
-    // deterministic outcome: accumulate into the scratch row
-    const std::size_t scratch = 2 * n;
-    clearRow(scratch);
-    for (std::size_t i = 0; i < n; ++i) {
-        if (xBit(i, q))
-            rowsum(scratch, i + n);
-    }
-    return r_[scratch];
+    return measureForced(q, 1) == 1.0 ? 1 : 0;
 }
 
 double
@@ -359,10 +331,9 @@ struct TwirledIdle
 };
 
 TwirledIdle
-twirlIdle(const NoiseModel &noise, double dt)
+twirlIdle(const IdleChannel &idle)
 {
     TwirledIdle t;
-    const IdleChannel idle = noise.idleChannel(dt);
     // standard Pauli twirl of amplitude damping
     t.px = idle.damp / 4.0;
     t.py = idle.damp / 4.0;
@@ -398,9 +369,12 @@ runStabilizer(const qc::Circuit &circuit, const RunOptions &options,
     if (circuit.measureCount() == 0)
         throw std::invalid_argument("runStabilizer: nothing measured");
 
-    qc::Schedule sched = qc::schedule(circuit);
+    const NoisySteps plan = noisySteps(circuit, options.noise);
+    std::vector<TwirledIdle> twirls;
+    twirls.reserve(plan.idle.size());
+    for (const IdleChannel &idle : plan.idle)
+        twirls.push_back(twirlIdle(idle));
     const auto &gates = circuit.gates();
-    const NoiseModel &noise = options.noise;
     StabilizerSimulator sim(circuit.numQubits());
     stats::Counts counts;
 
@@ -409,9 +383,8 @@ runStabilizer(const qc::Circuit &circuit, const RunOptions &options,
                                            qc::GateType::Y,
                                            qc::GateType::Z};
 
-    // Hoisted shot-loop buffers: reused across shots and moments.
+    // Hoisted shot-loop buffer: reused across shots.
     std::string clbits(circuit.numClbits(), '0');
-    std::vector<bool> active(circuit.numQubits(), false);
     for (std::uint64_t shot = 0; shot < options.shots; ++shot) {
         // Same truncation contract as the dense runner: the jobs
         // layer's fault hook must be able to cut any backend short,
@@ -421,67 +394,36 @@ runStabilizer(const qc::Circuit &circuit, const RunOptions &options,
             break;
         sim.resetAll();
         clbits.assign(circuit.numClbits(), '0');
-        for (const auto &moment : sched.moments) {
-            double duration = 0.0;
-            active.assign(circuit.numQubits(), false);
-            for (std::size_t idx : moment) {
-                const qc::Gate &g = gates[idx];
-                for (qc::Qubit q : g.qubits)
-                    active[q] = true;
-                if (noise.enabled) {
-                    duration = std::max(
-                        duration,
-                        g.type == qc::GateType::MEASURE ||
-                                g.type == qc::GateType::RESET
-                            ? noise.timeMeas
-                            : (g.qubits.size() >= 2 ? noise.time2q
-                                                    : noise.time1q));
-                }
-                switch (g.type) {
-                  case qc::GateType::MEASURE: {
-                    int outcome = sim.measure(g.qubits[0], rng);
-                    if (noise.enabled && rng.bernoulli(noise.pMeas))
-                        outcome ^= 1;
-                    clbits[static_cast<std::size_t>(g.cbit)] =
-                        outcome ? '1' : '0';
-                    break;
-                  }
-                  case qc::GateType::RESET:
-                    sim.reset(g.qubits[0], rng);
-                    if (noise.enabled && rng.bernoulli(noise.pReset)) {
-                        sim.applyGate(
-                            qc::Gate(qc::GateType::X, {g.qubits[0]}));
-                    }
-                    break;
-                  default:
-                    sim.applyGate(g);
-                    if (noise.enabled) {
-                        if (g.qubits.size() == 1 &&
-                            rng.bernoulli(noise.p1)) {
-                            sim.applyGate(qc::Gate(
-                                paulis[1 + rng.index(3)],
-                                {g.qubits[0]}));
-                        } else if (g.qubits.size() >= 2 &&
-                                   rng.bernoulli(noise.p2)) {
-                            std::size_t choice = rng.index(15) + 1;
-                            std::size_t pa = choice / 4, pb = choice % 4;
-                            if (pa)
-                                sim.applyGate(qc::Gate(paulis[pa],
-                                                       {g.qubits[0]}));
-                            if (pb)
-                                sim.applyGate(qc::Gate(paulis[pb],
-                                                       {g.qubits[1]}));
-                        }
-                    }
-                    break;
-                }
-            }
-            if (noise.enabled && duration > 0.0) {
-                TwirledIdle idle = twirlIdle(noise, duration);
-                for (std::size_t q = 0; q < circuit.numQubits(); ++q) {
-                    if (!active[q])
-                        applyPauliFlip(sim, q, idle, rng);
-                }
+        for (const NoisyStep &step : plan.steps) {
+            switch (step.kind) {
+              case NoisyStep::Kind::Gate:
+                sim.applyGate(gates[step.index]);
+                break;
+              case NoisyStep::Kind::Measure: {
+                int outcome = sim.measure(step.q0, rng);
+                if (rng.bernoulli(step.p))
+                    outcome ^= 1;
+                clbits[static_cast<std::size_t>(gates[step.index].cbit)] =
+                    outcome ? '1' : '0';
+                break;
+              }
+              case NoisyStep::Kind::Reset:
+                sim.reset(step.q0, rng);
+                if (rng.bernoulli(step.p))
+                    sim.applyGate(qc::Gate(qc::GateType::X, {step.q0}));
+                break;
+              case NoisyStep::Kind::Pauli1:
+              case NoisyStep::Kind::Pauli2: {
+                const std::size_t code = drawPauli(step, rng);
+                if (code / 4 != 0)
+                    sim.applyGate(qc::Gate(paulis[code / 4], {step.q0}));
+                if (code % 4 != 0)
+                    sim.applyGate(qc::Gate(paulis[code % 4], {step.q1}));
+                break;
+              }
+              case NoisyStep::Kind::Idle:
+                applyPauliFlip(sim, step.q0, twirls[step.index], rng);
+                break;
             }
         }
         counts.add(clbits);

@@ -136,8 +136,8 @@ runDensityMatrix(const qc::Circuit &circuit)
     rho.depolarize1(0, 0.01);
     rho.depolarize2(0, 1, 0.02);
     rho.thermalRelax(2, 0.003, 0.001);
-    rho.amplitudeDamp(1, 0.005);
-    rho.dephase(0, 0.004);
+    rho.thermalRelax(1, 0.005, 0.0);
+    rho.thermalRelax(0, 0.0, 0.004);
     return rho;
 }
 

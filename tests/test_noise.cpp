@@ -23,9 +23,9 @@ TEST(NoiseModel, DerivedRatesAreSane)
     m.t1 = 100.0;
     m.t2 = 80.0;
     EXPECT_GT(m.dephasingRate(), 0.0);
-    EXPECT_NEAR(m.idleDampingProbability(0.0), 0.0, 1e-15);
-    EXPECT_NEAR(m.idleDampingProbability(1e9), 1.0, 1e-6);
-    EXPECT_LT(m.idleDephasingProbability(1e9), 0.5 + 1e-9);
+    EXPECT_NEAR(m.idleChannel(0.0).damp, 0.0, 1e-15);
+    EXPECT_NEAR(m.idleChannel(1e9).damp, 1.0, 1e-6);
+    EXPECT_LT(m.idleChannel(1e9).dephase, 0.5 + 1e-9);
 
     // T2 = 2 T1 limit: no pure dephasing
     NoiseModel pure;
@@ -176,7 +176,7 @@ TEST(DensityMatrix, AmplitudeDampingDecaysExcitedState)
 {
     DensityMatrix dm(1);
     dm.applyGate(qc::Gate(qc::GateType::X, {0}));
-    dm.amplitudeDamp(0, 0.25);
+    dm.thermalRelax(0, 0.25, 0.0);
     auto probs = dm.probabilities();
     EXPECT_NEAR(probs[1], 0.75, 1e-10);
     EXPECT_NEAR(dm.trace(), 1.0, 1e-10);
@@ -186,7 +186,7 @@ TEST(DensityMatrix, DephasingKillsCoherences)
 {
     DensityMatrix dm(1);
     dm.applyGate(qc::Gate(qc::GateType::H, {0}));
-    dm.dephase(0, 0.5); // full phase flip mixing
+    dm.thermalRelax(0, 0.0, 0.5); // full phase flip mixing
     EXPECT_NEAR(std::abs(dm.element(0, 1)), 0.0, 1e-10);
     EXPECT_NEAR(dm.probabilities()[0], 0.5, 1e-10);
 }

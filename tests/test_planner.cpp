@@ -10,8 +10,10 @@
  * old arithmetic silently wrapped on, TooLarge-vs-trajectory routing
  * through the jobs layer at widths beyond the density-matrix cap, the
  * plan record's journey into grid caches / checkpoint journals /
- * manifests, and serve cache-key stability across daemon --backend
- * changes.
+ * manifests, serve cache-key stability across daemon --backend
+ * changes, and the noisy-step rules every engine shares (a readout
+ * flip per measurement, no error after a 3-qubit gate, the tableau's
+ * recorded noisy path).
  */
 
 #include <gtest/gtest.h>
@@ -233,7 +235,7 @@ runWith(const qc::Circuit &circuit, const sim::NoiseModel &noise,
     sim::RunOptions ro;
     ro.shots = shots;
     ro.noise = noise;
-    ro.backend = backend;
+    ro.planner.force = backend;
     stats::Rng rng(seed);
     return sim::run(circuit, ro, rng);
 }
@@ -312,7 +314,7 @@ TEST(ShotAccounting, TrajectoryBatchingNeverOvershootsTheRequest)
     ro.shots = 103;
     ro.noise = mildNoise();
     ro.shotsPerTrajectory = 20;
-    ro.backend = sim::BackendKind::Trajectory;
+    ro.planner.force = sim::BackendKind::Trajectory;
     stats::Rng rng(3);
     stats::Counts counts = sim::run(rotationTerminal(4), ro, rng);
     EXPECT_EQ(counts.shots(), 103u);
@@ -324,7 +326,7 @@ TEST(ShotAccounting, FaultHookTruncatesAtTheBatchBoundary)
     ro.shots = 200;
     ro.noise = mildNoise();
     ro.shotsPerTrajectory = 20;
-    ro.backend = sim::BackendKind::Trajectory;
+    ro.planner.force = sim::BackendKind::Trajectory;
     ro.faultHook = [](std::uint64_t done) { return done >= 40; };
     stats::Rng rng(3);
     stats::Counts counts = sim::run(rotationTerminal(4), ro, rng);
@@ -338,7 +340,7 @@ TEST(ShotAccounting, TruncatedTrajectoryRunIsAPrefixOfTheFullRun)
     const qc::Circuit circuit = rotationTerminal(4);
     sim::RunOptions ro;
     ro.noise = mildNoise();
-    ro.backend = sim::BackendKind::Trajectory;
+    ro.planner.force = sim::BackendKind::Trajectory;
     ro.shots = 200;
     stats::Rng rng_full(17);
     stats::Counts full = sim::run(circuit, ro, rng_full);
@@ -608,6 +610,102 @@ TEST(TrajectoryLanes, TerminalHookInsideABatchEqualsTheShorterRun)
     EXPECT_EQ(cut.map(), shorter.map());
 }
 
+// --- one noisy-step list for every engine ----------------------------
+
+TEST(NoisySteps, ReadoutErrorIsIndependentPerMeasurement)
+{
+    // One qubit read into two classical bits: each read flips on its
+    // own, on the density matrix as on the sampled engines.
+    qc::Circuit c(2, 2, "double-read");
+    c.x(0).s(1);
+    c.measure(0, 0);
+    c.measure(0, 1);
+    sim::NoiseModel noise;
+    noise.enabled = true;
+    noise.pMeas = 0.1;
+    const stats::Distribution exact = sim::noisyDistribution(c, noise);
+    EXPECT_NEAR(exact.probability("11"), 0.81, 1e-12);
+    EXPECT_NEAR(exact.probability("01"), 0.09, 1e-12);
+    EXPECT_NEAR(exact.probability("10"), 0.09, 1e-12);
+    EXPECT_NEAR(exact.probability("00"), 0.01, 1e-12);
+    for (sim::BackendKind kind :
+         {sim::BackendKind::Trajectory, sim::BackendKind::Stabilizer}) {
+        EXPECT_LT(tvdFrom(runWith(c, noise, kind, 20000, 43), exact), 0.02)
+            << sim::toString(kind);
+    }
+}
+
+/** h, a cx chain (qubit k idles untouched for k moments), s/sx, a
+ *  mid-circuit measure and reset, a targeted barrier, then h/cz/swap:
+ *  every step the tableau interprets. Clifford, four classical bits. */
+qc::Circuit
+tableauSteps(std::size_t n)
+{
+    const auto mid = static_cast<qc::Qubit>(n / 2);
+    const auto last = static_cast<qc::Qubit>(n - 1);
+    qc::Circuit c(n, 4, "tableau-steps");
+    c.h(0);
+    for (std::size_t q = 1; q < n; ++q)
+        c.cx(q - 1, q);
+    c.s(0).sx(last);
+    c.measure(0, 0);
+    c.reset(0);
+    c.barrier({0, mid});
+    c.h(0).cz(0, mid).swap(mid, last);
+    c.measure(0, 1);
+    c.measure(mid, 2);
+    c.measure(last, 3);
+    return c;
+}
+
+TEST(NoisySteps, StabilizerHistogramsMatchRecordedBits)
+{
+    // No Fig. 2 cell plans onto the tableau, so the quick-grid
+    // reference cannot vouch for its noisy path. Recorded with the
+    // engine that walked the schedule itself; width 70 takes two
+    // tableau words per row.
+    struct Pin
+    {
+        std::size_t width;
+        const char *histogram;
+    };
+    const Pin pins[] = {
+        {5,
+         "0000:46 0001:5 0010:34 0011:3 0100:54 0101:2 0110:48 0111:9 "
+         "1000:2 1001:41 1010:10 1011:49 1100:9 1101:42 1110:5 1111:41"},
+        {70,
+         "0000:28 0001:23 0010:36 0011:18 0100:28 0101:23 0110:26 "
+         "0111:16 1000:25 1001:30 1010:22 1011:29 1100:32 1101:22 "
+         "1110:20 1111:22"},
+    };
+    for (const Pin &pin : pins) {
+        const stats::Counts counts =
+            runWith(tableauSteps(pin.width), laneNoise(),
+                    sim::BackendKind::Stabilizer, 400, 3000 + pin.width);
+        EXPECT_EQ(renderCounts(counts), pin.histogram)
+            << "width " << pin.width;
+    }
+}
+
+TEST(NoisySteps, ThreeQubitGatesCarryNoGateError)
+{
+    // Table II has no 3-qubit error rate: CCX and CSWAP carry no gate
+    // error on any engine, however large p2 is.
+    qc::Circuit c(3, 3, "toffoli");
+    c.x(0).x(1);
+    c.ccx(0, 1, 2);
+    c.cswap(0, 1, 2);
+    c.measureAll();
+    sim::NoiseModel noise;
+    noise.enabled = true;
+    noise.p2 = 0.9;
+    EXPECT_NEAR(sim::noisyDistribution(c, noise).probability("111"), 1.0,
+                1e-12);
+    EXPECT_EQ(renderCounts(runWith(c, noise, sim::BackendKind::Trajectory,
+                                   200, 47)),
+              "111:200");
+}
+
 // --- hasMidCircuitOperations trailing-op semantics -------------------
 
 TEST(MidCircuitDetection, TrailingBarrierAfterMeasureIsNotMidCircuit)
@@ -759,7 +857,7 @@ TEST(PlannerJobs, ForcedDensityMatrixBeyondTheCapIsTooLarge)
     jobs::JobOptions options;
     options.harness.shots = 60;
     options.harness.repetitions = 1;
-    options.harness.backend = sim::BackendKind::DensityMatrix;
+    options.harness.planner.force = sim::BackendKind::DensityMatrix;
     jobs::SweepContext ctx(options, jobs::FaultInjector());
     core::BenchmarkRun run =
         jobs::runJob(bench, noisy14QubitDevice(), options, ctx);
@@ -798,7 +896,7 @@ TEST(PlannerJobs, TrajectoryScoresAreByteIdenticalAtAnyJobs)
     serial.shots = 120;
     serial.repetitions = 6;
     serial.jobs = 1;
-    serial.backend = sim::BackendKind::Trajectory;
+    serial.planner.force = sim::BackendKind::Trajectory;
     core::BenchmarkRun a = core::runBenchmark(bench, dev, serial);
 
     core::HarnessOptions threaded = serial;
@@ -898,7 +996,7 @@ TEST(PlanRecord, PrePlannerJournalCellsParseWithAnEmptyPlan)
 TEST(PlanRecord, RunManifestNamesTheRequestedBackend)
 {
     core::HarnessOptions options;
-    options.backend = sim::BackendKind::Trajectory;
+    options.planner.force = sim::BackendKind::Trajectory;
     obs::RunManifest manifest =
         core::makeRunManifest("test", options);
     EXPECT_EQ(manifest.extra.at("sim.backend"), "trajectory");
