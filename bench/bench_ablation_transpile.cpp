@@ -22,8 +22,8 @@ using namespace smq;
 namespace {
 
 void
-report(const core::Benchmark &bench, const device::Device &dev,
-       stats::TextTable &table)
+addPipelineRows(const core::Benchmark &bench, const device::Device &dev,
+                stats::TextTable &table)
 {
     struct Config
     {
@@ -93,8 +93,8 @@ main(int argc, char **argv)
     for (const device::Device &dev :
          {device::ibmCasablanca(), device::ibmGuadalupe(),
           device::ionqDevice()}) {
-        report(vanilla, dev, table);
-        report(swap_net, dev, table);
+        addPipelineRows(vanilla, dev, table);
+        addPipelineRows(swap_net, dev, table);
     }
     std::cout << table.render() << "\n";
     std::cout

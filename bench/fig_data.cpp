@@ -1,6 +1,5 @@
 #include "fig_data.hpp"
 
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -12,6 +11,7 @@
 #include <unordered_set>
 
 #include "device/device.hpp"
+#include "obs/fsio.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
@@ -239,84 +239,19 @@ cachePath(const Scale &scale)
     return name.str();
 }
 
-// v3: per-run backend plan token appended to each cell record.
-constexpr const char *kCacheVersion = "smq-fig2-cache-v3";
-
 void
 saveGrid(const Fig2Grid &grid, const Scale &scale)
 {
-    // Write-to-temp + rename: an interrupted regenerator can never
-    // leave a truncated cache that a later run would parse as garbage.
-    const std::string path = cachePath(scale);
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::trunc);
-        if (!out)
-            return;
-        out << serializeGrid(grid);
-        if (!out) {
-            out.close();
-            std::remove(tmp.c_str());
-            return;
-        }
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-        std::remove(tmp.c_str());
+    // Temp + fsync + rename: an interrupted regenerator can never leave
+    // a truncated cache that a later run would parse as garbage.
+    obs::atomicWriteFile(cachePath(scale), serializeGrid(grid));
 }
 
 bool
 loadGrid(Fig2Grid &grid, const Scale &scale)
 {
     std::ifstream in(cachePath(scale));
-    if (!in)
-        return false;
-    std::string version;
-    std::getline(in, version);
-    if (version != kCacheVersion)
-        return false;
-    std::size_t n_devices = 0;
-    in >> n_devices;
-    in.ignore();
-    grid.deviceNames.resize(n_devices);
-    for (std::string &name : grid.deviceNames)
-        std::getline(in, name);
-    std::size_t n_rows = 0;
-    in >> n_rows;
-    in.ignore();
-    grid.rows.resize(n_rows);
-    for (GridRow &row : grid.rows) {
-        std::getline(in, row.benchmark);
-        in >> row.isErrorCorrection;
-        in >> row.features.communication >> row.features.criticalDepth >>
-            row.features.entanglement >> row.features.parallelism >>
-            row.features.liveness >> row.features.measurement;
-        in >> row.stats.numQubits >> row.stats.depth >>
-            row.stats.gateCount >> row.stats.twoQubitGates >>
-            row.stats.measurements >> row.stats.resets;
-        row.runs.resize(n_devices);
-        for (std::size_t d = 0; d < n_devices; ++d) {
-            core::BenchmarkRun &run = row.runs[d];
-            run.benchmark = row.benchmark;
-            run.device = grid.deviceNames[d];
-            int status = 0, cause = 0;
-            std::size_t n_scores = 0;
-            std::string plan;
-            in >> status >> cause >> run.plannedRepetitions >>
-                run.attempts >> run.errorBarScale >> run.swapsInserted >>
-                run.physicalTwoQubitGates >> plan >> n_scores;
-            run.plan = plan == "-" ? "" : plan;
-            run.status = static_cast<core::RunStatus>(status);
-            run.cause = static_cast<core::FailureCause>(cause);
-            run.tooLarge = run.status == core::RunStatus::TooLarge;
-            run.scores.resize(n_scores);
-            for (double &s : run.scores)
-                in >> s;
-            if (!run.scores.empty())
-                run.summary = stats::summarize(run.scores);
-        }
-        in.ignore();
-    }
-    return static_cast<bool>(in);
+    return in && report::parseGrid(in, grid);
 }
 
 /** Representative fault schedule for the --faults demonstration. */
@@ -374,66 +309,6 @@ headerForGrid(const Scale &scale, const Fig2Grid &grid)
     return header;
 }
 
-report::CheckpointRow
-rowRecord(const GridRow &row)
-{
-    report::CheckpointRow rec;
-    rec.benchmark = row.benchmark;
-    rec.isErrorCorrection = row.isErrorCorrection;
-    for (double v : row.features.asArray())
-        rec.features.push_back(v);
-    rec.stats = {row.stats.numQubits,    row.stats.depth,
-                 row.stats.gateCount,    row.stats.twoQubitGates,
-                 row.stats.measurements, row.stats.resets};
-    return rec;
-}
-
-report::CheckpointCell
-cellFromRun(const core::BenchmarkRun &run)
-{
-    report::CheckpointCell rec;
-    rec.benchmark = run.benchmark;
-    rec.device = run.device;
-    // Interrupted cells carry salvage worth inspecting, but only an
-    // uninterrupted outcome is final: resume re-runs the others so
-    // the finished grid is byte-identical to an uninterrupted sweep.
-    rec.final = run.cause != core::FailureCause::Interrupted;
-    rec.status = static_cast<int>(run.status);
-    rec.cause = static_cast<int>(run.cause);
-    rec.plannedRepetitions = run.plannedRepetitions;
-    rec.attempts = run.attempts;
-    rec.errorBarScale = run.errorBarScale;
-    rec.swapsInserted = run.swapsInserted;
-    rec.physicalTwoQubitGates = run.physicalTwoQubitGates;
-    rec.plan = run.plan;
-    rec.scores = run.scores;
-    return rec;
-}
-
-core::BenchmarkRun
-runFromCell(const report::CheckpointCell &cell)
-{
-    core::BenchmarkRun run;
-    run.benchmark = cell.benchmark;
-    run.device = cell.device;
-    run.status = static_cast<core::RunStatus>(cell.status);
-    run.cause = static_cast<core::FailureCause>(cell.cause);
-    run.tooLarge = run.status == core::RunStatus::TooLarge;
-    run.detail = "resumed from checkpoint";
-    run.plannedRepetitions =
-        static_cast<std::size_t>(cell.plannedRepetitions);
-    run.attempts = static_cast<std::size_t>(cell.attempts);
-    run.errorBarScale = cell.errorBarScale;
-    run.swapsInserted = static_cast<std::size_t>(cell.swapsInserted);
-    run.physicalTwoQubitGates =
-        static_cast<std::size_t>(cell.physicalTwoQubitGates);
-    run.plan = cell.plan;
-    run.scores = cell.scores;
-    if (!run.scores.empty())
-        run.summary = stats::summarize(run.scores);
-    return run;
-}
-
 } // namespace
 
 int
@@ -446,42 +321,6 @@ GridOutcome::exitCode() const
     if (interrupted)
         return report::kExitInterrupted;
     return 0;
-}
-
-std::string
-serializeGrid(const Fig2Grid &grid)
-{
-    std::ostringstream out;
-    out.precision(17);
-    out << kCacheVersion << "\n" << grid.deviceNames.size() << "\n";
-    for (const std::string &name : grid.deviceNames)
-        out << name << "\n";
-    out << grid.rows.size() << "\n";
-    for (const GridRow &row : grid.rows) {
-        out << row.benchmark << "\n" << row.isErrorCorrection << "\n";
-        for (double v : row.features.asArray())
-            out << v << " ";
-        out << "\n"
-            << row.stats.numQubits << " " << row.stats.depth << " "
-            << row.stats.gateCount << " " << row.stats.twoQubitGates
-            << " " << row.stats.measurements << " " << row.stats.resets
-            << "\n";
-        for (const core::BenchmarkRun &run : row.runs) {
-            // Plan tokens are space-free by construction ('-' stands
-            // for "never planned"), so the record stays >>-parseable.
-            out << static_cast<int>(run.status) << " "
-                << static_cast<int>(run.cause) << " "
-                << run.plannedRepetitions << " " << run.attempts << " "
-                << run.errorBarScale << " " << run.swapsInserted << " "
-                << run.physicalTwoQubitGates << " "
-                << (run.plan.empty() ? "-" : run.plan) << " "
-                << run.scores.size();
-            for (double s : run.scores)
-                out << " " << s;
-            out << "\n";
-        }
-    }
-    return out.str();
 }
 
 GridOutcome
@@ -533,7 +372,7 @@ computeGrid(const Scale &scale,
                                         ? scale.resumeDir
                                         : scale.checkpointDir;
     report::CheckpointWriter writer;
-    std::unordered_map<std::string, report::CheckpointCell> resumed;
+    std::unordered_map<std::string, core::BenchmarkRun> resumed;
     std::unordered_set<std::string> salvaged;
     if (!journal_dir.empty()) {
         const report::CheckpointHeader expected =
@@ -561,11 +400,12 @@ computeGrid(const Scale &scale,
                     return outcome;
                 }
                 fresh = false;
-                for (report::CheckpointCell &cell : load.cells) {
-                    if (cell.final)
-                        resumed[cell.key()] = std::move(cell);
+                for (core::BenchmarkRun &run : load.cells) {
+                    const std::string key = run.benchmark + "@" + run.device;
+                    if (report::isFinal(run))
+                        resumed[key] = std::move(run);
                     else
-                        salvaged.insert(cell.key());
+                        salvaged.insert(key);
                 }
             }
         }
@@ -573,7 +413,7 @@ computeGrid(const Scale &scale,
         if (fresh) {
             writer.writeHeader(expected);
             for (const GridRow &row : grid.rows)
-                writer.appendRow(rowRecord(row));
+                writer.appendRow(row);
         }
     }
 
@@ -603,7 +443,8 @@ computeGrid(const Scale &scale,
         obs::counter(obs::names::kShardCellsOwned).add();
         auto it = resumed.find(run.benchmark + "@" + run.device);
         if (it != resumed.end()) {
-            run = runFromCell(it->second);
+            run = std::move(it->second);
+            run.detail = "resumed from checkpoint";
             obs::counter(obs::names::kCheckpointCellsResumed).add();
             continue;
         }
@@ -640,7 +481,7 @@ computeGrid(const Scale &scale,
                                             : jobs::FaultInjector());
             grid.rows[r].runs[d] =
                 jobs::runJob(*suite[r], devices[d], options, cell_ctx);
-            writer.appendCell(cellFromRun(grid.rows[r].runs[d]));
+            writer.appendCell(grid.rows[r].runs[d]);
         },
         util::stopRequested);
     obs::progressEnd();
@@ -716,16 +557,8 @@ scoredInstancesPerDevice(const Fig2Grid &grid)
 void
 noteGridScores(ObsSession &session, const Fig2Grid &grid)
 {
-    for (const GridRow &row : grid.rows) {
-        for (std::size_t d = 0; d < row.runs.size(); ++d) {
-            const core::BenchmarkRun &run = row.runs[d];
-            if (!core::scoreable(run.status) || run.scores.empty())
-                continue;
-            session.value("score." + row.benchmark + "@" +
-                              grid.deviceNames[d],
-                          run.summary.mean);
-        }
-    }
+    for (const auto &[key, score] : report::gridScoreValues(grid))
+        session.value(key, score);
 }
 
 } // namespace smq::bench

@@ -16,9 +16,16 @@
 #include "core/harness.hpp"
 #include "core/suites.hpp"
 #include "jobs/report.hpp"
+#include "report/checkpoint.hpp"
 #include "sim/backend.hpp"
 
 namespace smq::bench {
+
+// The grid types and their cache writer live beside the checkpoint
+// journal (report/checkpoint.hpp); the regenerators keep these names.
+using report::Fig2Grid;
+using report::GridRow;
+using report::serializeGrid;
 
 /** Execution scale for the regenerators. */
 struct Scale
@@ -157,23 +164,6 @@ private:
     std::map<std::string, double> values_;
 };
 
-/** One benchmark instance evaluated across all devices. */
-struct GridRow
-{
-    std::string benchmark;
-    bool isErrorCorrection = false;
-    core::FeatureVector features; ///< of the primary logical circuit
-    core::ProgramStats stats;
-    std::vector<core::BenchmarkRun> runs; ///< one per device
-};
-
-/** The full evaluation grid. */
-struct Fig2Grid
-{
-    std::vector<std::string> deviceNames;
-    std::vector<GridRow> rows;
-};
-
 /**
  * How a grid computation ended, beyond the grid itself: the resilience
  * outcomes a driver must turn into its process exit code.
@@ -226,13 +216,6 @@ GridOutcome computeFig2GridOutcome(const Scale &scale);
 
 /** computeFig2GridOutcome for callers without resilience flags. */
 Fig2Grid computeFig2Grid(const Scale &scale);
-
-/**
- * Canonical text serialization of a grid (the on-disk cache format).
- * The parallel-determinism tests compare serial and threaded grids
- * through this exact byte stream.
- */
-std::string serializeGrid(const Fig2Grid &grid);
 
 /** Fold a grid into per-device scored instances for Figs. 3 and 4. */
 std::vector<std::vector<core::ScoredInstance>>

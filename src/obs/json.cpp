@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <sstream>
 #include <stdexcept>
 
 namespace smq::obs {
@@ -333,6 +334,19 @@ escapeJson(std::string_view raw)
         }
     }
     return out;
+}
+
+void
+writeJsonNumber(std::ostream &out, double value)
+{
+    std::ostringstream text;
+    text.precision(17);
+    text << value;
+    std::string s = text.str();
+    if (s.find("inf") != std::string::npos ||
+        s.find("nan") != std::string::npos)
+        s = "0";
+    out << s;
 }
 
 } // namespace smq::obs

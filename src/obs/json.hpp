@@ -12,6 +12,7 @@
 #define SMQ_OBS_JSON_HPP
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -54,6 +55,14 @@ JsonValue parseJson(std::string_view source);
 
 /** Escape @p raw for inclusion inside a JSON string literal. */
 std::string escapeJson(std::string_view raw);
+
+/**
+ * Write @p value as a JSON number with 17 significant digits, so a
+ * double reads back bit-exactly. Bare "inf"/"nan" would be invalid
+ * JSON (and the parser keeps number literals as text), so they are
+ * written as 0.
+ */
+void writeJsonNumber(std::ostream &out, double value);
 
 } // namespace smq::obs
 

@@ -4,7 +4,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <map>
+#include <istream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -19,21 +19,19 @@ namespace smq::report {
 
 namespace {
 
+// v3: per-run backend plan token appended to each cell record.
+constexpr const char *kCacheVersion = "smq-fig2-cache-v3";
+
 /** Common prefix of every journal schema version this loader reads. */
 constexpr const char *kSchemaPrefix = "smq-checkpoint-v";
 
+/** The fields both readers derive instead of storing them. */
 void
-writeNumber(std::ostream &out, double value)
+deriveLoadedFields(core::BenchmarkRun &run)
 {
-    std::ostringstream text;
-    text.precision(17);
-    text << value;
-    // Bare "inf"/"nan" would be invalid JSON; same guard as history.
-    std::string s = text.str();
-    if (s.find("inf") != std::string::npos ||
-        s.find("nan") != std::string::npos)
-        s = "0";
-    out << s;
+    run.tooLarge = run.status == core::RunStatus::TooLarge;
+    if (!run.scores.empty())
+        run.summary = stats::summarize(run.scores);
 }
 
 void
@@ -45,24 +43,16 @@ writeStringArray(std::ostream &out, const std::vector<std::string> &v)
     out << "]";
 }
 
+template <typename Doubles>
 void
-writeDoubleArray(std::ostream &out, const std::vector<double> &v)
+writeDoubleArray(std::ostream &out, const Doubles &v)
 {
     out << "[";
     for (std::size_t i = 0; i < v.size(); ++i) {
         if (i)
             out << ",";
-        writeNumber(out, v[i]);
+        obs::writeJsonNumber(out, v[i]);
     }
-    out << "]";
-}
-
-void
-writeU64Array(std::ostream &out, const std::vector<std::uint64_t> &v)
-{
-    out << "[";
-    for (std::size_t i = 0; i < v.size(); ++i)
-        out << (i ? "," : "") << v[i];
     out << "]";
 }
 
@@ -111,42 +101,161 @@ headerFromJson(const obs::JsonValue &root)
     return header;
 }
 
-CheckpointRow
+GridRow
 rowFromJson(const obs::JsonValue &root)
 {
-    CheckpointRow row;
+    GridRow row;
     row.benchmark = root.at("benchmark").asString();
     row.isErrorCorrection = root.at("error_correction").asBool();
-    for (const obs::JsonValue &v : root.at("features").array)
-        row.features.push_back(v.asDouble());
-    for (const obs::JsonValue &v : root.at("stats").array)
-        row.stats.push_back(v.asU64());
+    const std::vector<obs::JsonValue> &f = root.at("features").array;
+    const std::vector<obs::JsonValue> &s = root.at("stats").array;
+    if (f.size() != 6 || s.size() != 6)
+        throw std::runtime_error("row: features and stats need 6 entries");
+    row.features.communication = f[0].asDouble();
+    row.features.criticalDepth = f[1].asDouble();
+    row.features.entanglement = f[2].asDouble();
+    row.features.parallelism = f[3].asDouble();
+    row.features.liveness = f[4].asDouble();
+    row.features.measurement = f[5].asDouble();
+    row.stats.numQubits = s[0].asU64();
+    row.stats.depth = s[1].asU64();
+    row.stats.gateCount = s[2].asU64();
+    row.stats.twoQubitGates = s[3].asU64();
+    row.stats.measurements = s[4].asU64();
+    row.stats.resets = s[5].asU64();
     return row;
 }
 
-CheckpointCell
+core::BenchmarkRun
 cellFromJson(const obs::JsonValue &root)
 {
-    CheckpointCell cell;
-    cell.benchmark = root.at("benchmark").asString();
-    cell.device = root.at("device").asString();
-    cell.final = root.at("final").asBool();
-    cell.status = static_cast<int>(root.at("status").asU64());
-    cell.cause = static_cast<int>(root.at("cause").asU64());
-    cell.plannedRepetitions = root.at("planned").asU64();
-    cell.attempts = root.at("attempts").asU64();
-    cell.errorBarScale = root.at("error_bar").asDouble();
-    cell.swapsInserted = root.at("swaps").asU64();
-    cell.physicalTwoQubitGates = root.at("phys_2q").asU64();
+    core::BenchmarkRun run;
+    run.benchmark = root.at("benchmark").asString();
+    run.device = root.at("device").asString();
+    run.status = static_cast<core::RunStatus>(
+        static_cast<int>(root.at("status").asU64()));
+    run.cause = static_cast<core::FailureCause>(
+        static_cast<int>(root.at("cause").asU64()));
+    // A non-final record is an interrupted cell, whatever its cause.
+    if (!root.at("final").asBool())
+        run.cause = core::FailureCause::Interrupted;
+    run.plannedRepetitions = root.at("planned").asU64();
+    run.attempts = root.at("attempts").asU64();
+    run.errorBarScale = root.at("error_bar").asDouble();
+    run.swapsInserted = root.at("swaps").asU64();
+    run.physicalTwoQubitGates = root.at("phys_2q").asU64();
     // Optional: journals predating the backend planner carry no plan.
     if (const obs::JsonValue *v = root.find("plan"))
-        cell.plan = v->asString();
+        run.plan = v->asString();
     for (const obs::JsonValue &v : root.at("scores").array)
-        cell.scores.push_back(v.asDouble());
-    return cell;
+        run.scores.push_back(v.asDouble());
+    deriveLoadedFields(run);
+    return run;
 }
 
 } // namespace
+
+std::string
+serializeGrid(const Fig2Grid &grid)
+{
+    std::ostringstream out;
+    out.precision(17);
+    out << kCacheVersion << "\n" << grid.deviceNames.size() << "\n";
+    for (const std::string &name : grid.deviceNames)
+        out << name << "\n";
+    out << grid.rows.size() << "\n";
+    for (const GridRow &row : grid.rows) {
+        out << row.benchmark << "\n" << row.isErrorCorrection << "\n";
+        for (double v : row.features.asArray())
+            out << v << " ";
+        out << "\n"
+            << row.stats.numQubits << " " << row.stats.depth << " "
+            << row.stats.gateCount << " " << row.stats.twoQubitGates
+            << " " << row.stats.measurements << " " << row.stats.resets
+            << "\n";
+        for (const core::BenchmarkRun &run : row.runs) {
+            // Plan tokens are space-free by construction ('-' stands
+            // for "never planned"), so the record stays >>-parseable.
+            out << static_cast<int>(run.status) << " "
+                << static_cast<int>(run.cause) << " "
+                << run.plannedRepetitions << " " << run.attempts << " "
+                << run.errorBarScale << " " << run.swapsInserted << " "
+                << run.physicalTwoQubitGates << " "
+                << (run.plan.empty() ? "-" : run.plan) << " "
+                << run.scores.size();
+            for (double s : run.scores)
+                out << " " << s;
+            out << "\n";
+        }
+    }
+    return out.str();
+}
+
+bool
+parseGrid(std::istream &in, Fig2Grid &grid)
+{
+    std::string version;
+    std::getline(in, version);
+    if (version != kCacheVersion)
+        return false;
+    std::size_t n_devices = 0;
+    in >> n_devices;
+    in.ignore();
+    grid.deviceNames.resize(n_devices);
+    for (std::string &name : grid.deviceNames)
+        std::getline(in, name);
+    std::size_t n_rows = 0;
+    in >> n_rows;
+    in.ignore();
+    grid.rows.resize(n_rows);
+    for (GridRow &row : grid.rows) {
+        std::getline(in, row.benchmark);
+        in >> row.isErrorCorrection;
+        in >> row.features.communication >> row.features.criticalDepth >>
+            row.features.entanglement >> row.features.parallelism >>
+            row.features.liveness >> row.features.measurement;
+        in >> row.stats.numQubits >> row.stats.depth >>
+            row.stats.gateCount >> row.stats.twoQubitGates >>
+            row.stats.measurements >> row.stats.resets;
+        row.runs.resize(n_devices);
+        for (std::size_t d = 0; d < n_devices; ++d) {
+            core::BenchmarkRun &run = row.runs[d];
+            run.benchmark = row.benchmark;
+            run.device = grid.deviceNames[d];
+            int status = 0, cause = 0;
+            std::size_t n_scores = 0;
+            std::string plan;
+            in >> status >> cause >> run.plannedRepetitions >>
+                run.attempts >> run.errorBarScale >> run.swapsInserted >>
+                run.physicalTwoQubitGates >> plan >> n_scores;
+            run.plan = plan == "-" ? "" : plan;
+            run.status = static_cast<core::RunStatus>(status);
+            run.cause = static_cast<core::FailureCause>(cause);
+            run.scores.resize(n_scores);
+            for (double &s : run.scores)
+                in >> s;
+            deriveLoadedFields(run);
+        }
+        in.ignore();
+    }
+    return static_cast<bool>(in);
+}
+
+std::map<std::string, double>
+gridScoreValues(const Fig2Grid &grid)
+{
+    std::map<std::string, double> values;
+    for (const GridRow &row : grid.rows) {
+        for (std::size_t d = 0; d < row.runs.size(); ++d) {
+            const core::BenchmarkRun &run = row.runs[d];
+            if (!core::scoreable(run.status) || run.scores.empty())
+                continue;
+            values["score." + row.benchmark + "@" + grid.deviceNames[d]] =
+                run.summary.mean;
+        }
+    }
+    return values;
+}
 
 std::string
 CheckpointHeader::toJsonLine() const
@@ -173,39 +282,41 @@ CheckpointHeader::sameWorkload(const CheckpointHeader &other) const
 }
 
 std::string
-CheckpointRow::toJsonLine() const
+journalLine(const GridRow &row)
 {
     std::ostringstream out;
     out << "{\"schema\":\"" << kCheckpointSchema << "\""
         << ",\"kind\":\"row\""
-        << ",\"benchmark\":\"" << obs::escapeJson(benchmark) << "\""
-        << ",\"error_correction\":" << (isErrorCorrection ? "true" : "false")
-        << ",\"features\":";
-    writeDoubleArray(out, features);
-    out << ",\"stats\":";
-    writeU64Array(out, stats);
-    out << "}";
+        << ",\"benchmark\":\"" << obs::escapeJson(row.benchmark) << "\""
+        << ",\"error_correction\":"
+        << (row.isErrorCorrection ? "true" : "false") << ",\"features\":";
+    writeDoubleArray(out, row.features.asArray());
+    out << ",\"stats\":[" << row.stats.numQubits << "," << row.stats.depth
+        << "," << row.stats.gateCount << "," << row.stats.twoQubitGates
+        << "," << row.stats.measurements << "," << row.stats.resets
+        << "]}";
     return out.str();
 }
 
 std::string
-CheckpointCell::toJsonLine() const
+journalLine(const core::BenchmarkRun &run)
 {
     std::ostringstream out;
     out << "{\"schema\":\"" << kCheckpointSchema << "\""
         << ",\"kind\":\"cell\""
-        << ",\"benchmark\":\"" << obs::escapeJson(benchmark) << "\""
-        << ",\"device\":\"" << obs::escapeJson(device) << "\""
-        << ",\"final\":" << (final ? "true" : "false")
-        << ",\"status\":" << status << ",\"cause\":" << cause
-        << ",\"planned\":" << plannedRepetitions
-        << ",\"attempts\":" << attempts << ",\"error_bar\":";
-    writeNumber(out, errorBarScale);
-    out << ",\"swaps\":" << swapsInserted
-        << ",\"phys_2q\":" << physicalTwoQubitGates
-        << ",\"plan\":\"" << obs::escapeJson(plan) << "\""
+        << ",\"benchmark\":\"" << obs::escapeJson(run.benchmark) << "\""
+        << ",\"device\":\"" << obs::escapeJson(run.device) << "\""
+        << ",\"final\":" << (isFinal(run) ? "true" : "false")
+        << ",\"status\":" << static_cast<int>(run.status)
+        << ",\"cause\":" << static_cast<int>(run.cause)
+        << ",\"planned\":" << run.plannedRepetitions
+        << ",\"attempts\":" << run.attempts << ",\"error_bar\":";
+    obs::writeJsonNumber(out, run.errorBarScale);
+    out << ",\"swaps\":" << run.swapsInserted
+        << ",\"phys_2q\":" << run.physicalTwoQubitGates
+        << ",\"plan\":\"" << obs::escapeJson(run.plan) << "\""
         << ",\"scores\":";
-    writeDoubleArray(out, scores);
+    writeDoubleArray(out, run.scores);
     out << "}";
     return out.str();
 }
@@ -327,17 +438,17 @@ CheckpointWriter::append(const std::string &line)
 }
 
 bool
-CheckpointWriter::appendRow(const CheckpointRow &row)
+CheckpointWriter::appendRow(const GridRow &row)
 {
-    return append(row.toJsonLine());
+    return append(journalLine(row));
 }
 
 bool
-CheckpointWriter::appendCell(const CheckpointCell &cell)
+CheckpointWriter::appendCell(const core::BenchmarkRun &run)
 {
     if (!active())
         return true;
-    const bool ok = append(cell.toJsonLine());
+    const bool ok = append(journalLine(run));
     if (!ok)
         return false;
     const std::size_t count = ++cells_;
@@ -364,11 +475,11 @@ mergeCheckpoints(const std::vector<std::string> &dirs)
     MergedGrid merged;
     struct Slot
     {
-        CheckpointCell cell;
+        core::BenchmarkRun run;
         std::size_t journal = 0;
     };
     std::map<std::string, Slot> slots;  // key -> best record so far
-    std::map<std::string, CheckpointRow> rows;
+    std::map<std::string, GridRow> rows;
     std::set<std::size_t> shard_indices;
     std::set<std::string> overlap_seen;
 
@@ -391,45 +502,45 @@ mergeCheckpoints(const std::vector<std::string> &dirs)
             std::to_string(load.header.shardCount));
         shard_indices.insert(load.header.shardIndex);
 
-        for (CheckpointRow &row : load.rows) {
+        for (GridRow &row : load.rows) {
             auto it = rows.find(row.benchmark);
             if (it == rows.end()) {
                 rows.emplace(row.benchmark, std::move(row));
-            } else if (it->second.toJsonLine() != row.toJsonLine()) {
+            } else if (journalLine(it->second) != journalLine(row)) {
                 throw std::runtime_error(
                     "merge: conflicting row metadata for " +
                     row.benchmark);
             }
         }
 
-        for (CheckpointCell &cell : load.cells) {
-            const std::string key = cell.key();
+        for (core::BenchmarkRun &run : load.cells) {
+            const std::string key = run.benchmark + "@" + run.device;
             auto it = slots.find(key);
             if (it == slots.end()) {
-                slots.emplace(key, Slot{std::move(cell), j});
+                slots.emplace(key, Slot{std::move(run), j});
                 continue;
             }
             Slot &slot = it->second;
-            if (!cell.final) {
+            if (!isFinal(run)) {
                 // Salvage never displaces anything; it only fills gaps.
                 ++merged.salvagedDropped;
                 continue;
             }
-            if (!slot.cell.final) {
+            if (!isFinal(slot.run)) {
                 ++merged.salvagedDropped;
-                slot = Slot{std::move(cell), j};
+                slot = Slot{std::move(run), j};
                 continue;
             }
             if (slot.journal == j) {
                 // Same journal, e.g. a resumed run re-finishing a
                 // cell: later record wins, like a log replay.
-                slot.cell = std::move(cell);
+                slot.run = std::move(run);
                 continue;
             }
             // Two journals both claim this cell. Identical content is
             // an overlap (a shard run twice); divergence is data
             // corruption and must not be papered over.
-            if (slot.cell.toJsonLine() != cell.toJsonLine())
+            if (journalLine(slot.run) != journalLine(run))
                 throw std::runtime_error(
                     "merge: conflicting results for " + key + " (" +
                     dirs[slot.journal] + " vs " + dirs[j] + ")");
@@ -443,72 +554,33 @@ mergeCheckpoints(const std::vector<std::string> &dirs)
             merged.missingShards.push_back(i);
     }
 
-    const std::size_t n_devices = merged.header.devices.size();
-    merged.rows.reserve(merged.header.benchmarks.size());
-    merged.cells.resize(merged.header.benchmarks.size());
-    for (std::size_t r = 0; r < merged.header.benchmarks.size(); ++r) {
-        const std::string &bench = merged.header.benchmarks[r];
-        auto row_it = rows.find(bench);
-        if (row_it != rows.end()) {
-            merged.rows.push_back(row_it->second);
-        } else {
-            CheckpointRow placeholder;
-            placeholder.benchmark = bench;
-            merged.rows.push_back(std::move(placeholder));
-        }
-        merged.cells[r].resize(n_devices);
-        for (std::size_t d = 0; d < n_devices; ++d) {
-            CheckpointCell &cell = merged.cells[r][d];
-            cell.benchmark = bench;
-            cell.device = merged.header.devices[d];
-            cell.final = false;
-            auto it = slots.find(cell.key());
-            if (it != slots.end() && it->second.cell.final)
-                cell = it->second.cell;
-            else
-                merged.missingCells.push_back(cell.key());
+    Fig2Grid &grid = merged.grid;
+    grid.deviceNames = merged.header.devices;
+    grid.rows.resize(merged.header.benchmarks.size());
+    for (std::size_t r = 0; r < grid.rows.size(); ++r) {
+        GridRow &row = grid.rows[r];
+        row.benchmark = merged.header.benchmarks[r];
+        auto row_it = rows.find(row.benchmark);
+        if (row_it != rows.end())
+            row = row_it->second;
+        row.runs.resize(grid.deviceNames.size());
+        for (std::size_t d = 0; d < row.runs.size(); ++d) {
+            core::BenchmarkRun &run = row.runs[d];
+            const std::string key =
+                row.benchmark + "@" + grid.deviceNames[d];
+            auto it = slots.find(key);
+            if (it != slots.end() && isFinal(it->second.run)) {
+                run = it->second.run;
+                continue;
+            }
+            run.benchmark = row.benchmark;
+            run.device = grid.deviceNames[d];
+            run.status = core::RunStatus::Skipped;
+            run.cause = core::FailureCause::Interrupted;
+            merged.missingCells.push_back(key);
         }
     }
     return merged;
-}
-
-std::string
-renderMergedGrid(const MergedGrid &grid)
-{
-    std::ostringstream out;
-    out.precision(17);
-    out << kMergedGridVersion << "\n"
-        << grid.header.devices.size() << "\n";
-    for (const std::string &name : grid.header.devices)
-        out << name << "\n";
-    out << grid.rows.size() << "\n";
-    for (std::size_t r = 0; r < grid.rows.size(); ++r) {
-        const CheckpointRow &row = grid.rows[r];
-        out << row.benchmark << "\n"
-            << (row.isErrorCorrection ? 1 : 0) << "\n";
-        for (double v : row.features)
-            out << v << " ";
-        out << "\n";
-        for (std::size_t i = 0; i < row.stats.size(); ++i)
-            out << (i ? " " : "") << row.stats[i];
-        out << "\n";
-        for (const CheckpointCell &cell : grid.cells[r]) {
-            if (!cell.final) {
-                out << "missing\n";
-                continue;
-            }
-            out << cell.status << " " << cell.cause << " "
-                << cell.plannedRepetitions << " " << cell.attempts
-                << " " << cell.errorBarScale << " "
-                << cell.swapsInserted << " "
-                << cell.physicalTwoQubitGates << " "
-                << cell.scores.size();
-            for (double s : cell.scores)
-                out << " " << s;
-            out << "\n";
-        }
-    }
-    return out.str();
 }
 
 } // namespace smq::report

@@ -1,13 +1,21 @@
 /**
  * @file
- * The per-cell checkpoint journal of crash-tolerant grid execution
- * (schema `smq-checkpoint-v1`): one JSONL record per completed grid
- * cell, appended durably as the sweep progresses, so a killed run —
- * SIGKILL, OOM, power loss — resumes from the last completed cell
- * instead of from zero, and a sweep split over `--shard i/N`
- * processes merges back into one grid afterwards.
+ * The Fig. 2 grid and its two on-disk forms.
  *
- * File layout: `DIR/cells.jsonl`, written with the same durability
+ * In memory a grid is one Fig2Grid: GridRows (per-benchmark metadata)
+ * holding one core::BenchmarkRun per device. On disk it is either
+ *
+ *  - the `smq-fig2-cache-v3` text (serializeGrid / parseGrid): the
+ *    regenerators' grid cache, and what `smq_sentinel merge` writes,
+ *    so a merged sharded sweep feeds Figs. 3 and 4 like a serial one;
+ *  - the per-cell checkpoint journal of crash-tolerant grid execution
+ *    (schema `smq-checkpoint-v1`): one JSONL record per completed grid
+ *    cell, appended durably as the sweep progresses, so a killed run —
+ *    SIGKILL, OOM, power loss — resumes from the last completed cell
+ *    instead of from zero, and a sweep split over `--shard i/N`
+ *    processes merges back into one grid afterwards.
+ *
+ * Journal layout: `DIR/cells.jsonl`, written with the same durability
  * discipline as the run-history store (obs::appendLineDurable — one
  * fsynced O_APPEND write per record, at most one truncated tail line
  * after a crash, which the loader tolerates). Record kinds:
@@ -21,13 +29,10 @@
  *    label-derived, so identical across shards — which makes the
  *    merge a pure data fold needing no re-simulation.
  *  - `cell`: one (benchmark, device) outcome. `final` is true unless
- *    the cell was cut short by cooperative shutdown; non-final cells
- *    keep their salvaged scores for inspection but are re-run on
- *    resume, preserving byte-identity with an uninterrupted sweep.
- *
- * Layering: this header deliberately knows nothing of smq::core.
- * Statuses and causes travel as the same integers the fig2 cache
- * format uses; the bench layer converts to/from core::BenchmarkRun.
+ *    the cell was cut short by cooperative shutdown (isFinal);
+ *    non-final cells keep their salvaged scores for inspection but
+ *    are re-run on resume, preserving byte-identity with an
+ *    uninterrupted sweep.
  */
 
 #ifndef SMQ_REPORT_CHECKPOINT_HPP
@@ -35,9 +40,14 @@
 
 #include <atomic>
 #include <cstdint>
+#include <iosfwd>
+#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "core/features.hpp"
+#include "core/harness.hpp"
 
 namespace smq::report {
 
@@ -45,8 +55,6 @@ namespace smq::report {
 inline constexpr const char *kCheckpointSchema = "smq-checkpoint-v1";
 /** Journal file name inside a checkpoint directory. */
 inline constexpr const char *kCheckpointFile = "cells.jsonl";
-/** Version line of the merged-grid canonical text. */
-inline constexpr const char *kMergedGridVersion = "smq-merged-grid-v1";
 
 /**
  * Process exit codes of the resilient grid drivers, mirroring
@@ -56,6 +64,54 @@ inline constexpr const char *kMergedGridVersion = "smq-merged-grid-v1";
 inline constexpr int kExitInterrupted = 75;  ///< EX_TEMPFAIL: resume me
 inline constexpr int kExitStorageError = 74; ///< EX_IOERR: journal lost
 inline constexpr int kExitConfigMismatch = 2; ///< usage / foreign journal
+
+/** One benchmark instance evaluated across all devices. */
+struct GridRow
+{
+    std::string benchmark;
+    bool isErrorCorrection = false;
+    core::FeatureVector features; ///< of the primary logical circuit
+    core::ProgramStats stats;
+    std::vector<core::BenchmarkRun> runs; ///< one per device
+};
+
+/** The full evaluation grid. */
+struct Fig2Grid
+{
+    std::vector<std::string> deviceNames;
+    std::vector<GridRow> rows;
+};
+
+/**
+ * Canonical text serialization of a grid (the on-disk cache format).
+ * The parallel-determinism tests compare serial and threaded grids
+ * through this exact byte stream.
+ */
+std::string serializeGrid(const Fig2Grid &grid);
+
+/**
+ * Read serializeGrid's text into @p grid. @return false on a foreign
+ * version line or a malformed body (the grid is then unspecified).
+ */
+bool parseGrid(std::istream &in, Fig2Grid &grid);
+
+/**
+ * The run-history values of a grid: `score.<benchmark>@<device>` →
+ * mean score, for every scoreable cell with scores.
+ */
+std::map<std::string, double> gridScoreValues(const Fig2Grid &grid);
+
+/**
+ * Whether a journaled cell stands: only an uninterrupted outcome is
+ * final. Interrupted cells carry salvage worth inspecting, but resume
+ * re-runs them so the finished grid is byte-identical to an
+ * uninterrupted sweep.
+ */
+inline bool
+isFinal(const core::BenchmarkRun &run)
+{
+    return run.cause != core::FailureCause::Interrupted;
+}
 
 /** The workload key a journal belongs to. */
 struct CheckpointHeader
@@ -77,49 +133,10 @@ struct CheckpointHeader
     bool sameWorkload(const CheckpointHeader &other) const;
 };
 
-/** Per-benchmark metadata: one grid row, device-independent. */
-struct CheckpointRow
-{
-    std::string benchmark;
-    bool isErrorCorrection = false;
-    std::vector<double> features;      ///< the 6 SupermarQ features
-    std::vector<std::uint64_t> stats;  ///< qubits depth gates 2q meas resets
-
-    std::string toJsonLine() const;
-};
-
-/** One completed (benchmark, device) outcome. */
-struct CheckpointCell
-{
-    std::string benchmark;
-    std::string device;
-    /**
-     * False when cooperative shutdown cut the cell short: the
-     * salvaged scores are journaled for inspection, but resume re-runs
-     * the cell so the final grid is byte-identical to an
-     * uninterrupted sweep.
-     */
-    bool final = true;
-    int status = 0; ///< core::RunStatus as int (cache-format encoding)
-    int cause = 0;  ///< core::FailureCause as int
-    std::uint64_t plannedRepetitions = 0;
-    std::uint64_t attempts = 0;
-    double errorBarScale = 1.0;
-    std::uint64_t swapsInserted = 0;
-    std::uint64_t physicalTwoQubitGates = 0;
-    /**
-     * Backend plan record ('+'-joined tokens, see BenchmarkRun::plan).
-     * Optional on load: journals written before the planner existed
-     * parse with an empty plan.
-     */
-    std::string plan;
-    std::vector<double> scores;
-
-    std::string toJsonLine() const;
-
-    /** "benchmark@device", the cell's identity in maps and messages. */
-    std::string key() const { return benchmark + "@" + device; }
-};
+/** The `row` journal record of @p row (its runs are not part of it). */
+std::string journalLine(const GridRow &row);
+/** The `cell` journal record of @p run. */
+std::string journalLine(const core::BenchmarkRun &run);
 
 /** Everything read back from one journal. */
 struct CheckpointLoad
@@ -127,9 +144,14 @@ struct CheckpointLoad
     bool exists = false;   ///< the journal file was present
     bool headerOk = false; ///< a parseable header record was found
     CheckpointHeader header;
-    std::vector<CheckpointRow> rows;   ///< file order, duplicates kept
-    std::vector<CheckpointCell> cells; ///< file order, duplicates kept
-    std::size_t skippedLines = 0;      ///< unparseable lines dropped
+    std::vector<GridRow> rows; ///< file order, duplicates kept; no runs
+    /**
+     * File order, duplicates kept. A record read with `final: false`
+     * loads with cause Interrupted; `plan` is optional (journals
+     * written before the planner existed parse with an empty plan).
+     */
+    std::vector<core::BenchmarkRun> cells;
+    std::size_t skippedLines = 0; ///< unparseable lines dropped
     bool corruptTail = false; ///< last line unparseable (crash signature)
 };
 
@@ -173,9 +195,9 @@ class CheckpointWriter
     /** Start a fresh journal: truncate and write the header record. */
     bool writeHeader(const CheckpointHeader &header);
 
-    bool appendRow(const CheckpointRow &row);
+    bool appendRow(const GridRow &row);
     /** Thread-safe: cell workers of a `--jobs N` sweep call this. */
-    bool appendCell(const CheckpointCell &cell);
+    bool appendCell(const core::BenchmarkRun &run);
 
     /** First append/truncate failure ("write: No space left..."). */
     std::string error() const;
@@ -198,9 +220,11 @@ class CheckpointWriter
 struct MergedGrid
 {
     CheckpointHeader header; ///< shard index/count of the first journal
-    std::vector<CheckpointRow> rows; ///< header benchmark order
-    /** cells[row][device]; a missing cell keeps final == false. */
-    std::vector<std::vector<CheckpointCell>> cells;
+    /**
+     * Header device and benchmark order. A cell no journal finished is
+     * the Skipped(Interrupted) placeholder without scores.
+     */
+    Fig2Grid grid;
     std::vector<std::string> shardsSeen;  ///< "i/N" per input journal
     std::vector<std::size_t> missingShards; ///< indices with no journal
     std::vector<std::string> missingCells;  ///< "bench@device" gaps
@@ -217,24 +241,17 @@ struct MergedGrid
 /**
  * Fold shard journals into one grid. All journals must share a
  * workload (sameWorkload) and agree cell-for-cell: a (benchmark,
- * device) pair final in two journals with *identical* content is
- * reported as an overlap (harmless — e.g. a shard run twice);
+ * device) pair final in two journals with *identical* journal lines
+ * is reported as an overlap (harmless — e.g. a shard run twice);
  * *conflicting* content throws, as does a workload mismatch or a
  * journal with no readable header. Missing shards and cells are
  * reported, not fatal: an incomplete merge still shows what exists.
+ * serializeGrid of a complete merge is byte-equal to the cache text
+ * of the same sweep run serially.
  *
  * @throws std::runtime_error on mismatch/conflict/empty input.
  */
 MergedGrid mergeCheckpoints(const std::vector<std::string> &dirs);
-
-/**
- * Canonical text of a merged grid (`smq-merged-grid-v1`): the version
- * line, then exactly the fig2 cache body — so the shard-union
- * property "merge of N shard journals == merge of the serial
- * journal" is a byte comparison. Missing cells render as the
- * literal line "missing".
- */
-std::string renderMergedGrid(const MergedGrid &grid);
 
 } // namespace smq::report
 

@@ -11,25 +11,6 @@
 
 namespace smq::report {
 
-namespace {
-
-void
-writeNumber(std::ostream &out, double value)
-{
-    std::ostringstream text;
-    text.precision(17);
-    text << value;
-    // The minimal JSON parser keeps number literals as text; make sure
-    // bare "inf"/"nan" (invalid JSON) can never enter the store.
-    std::string s = text.str();
-    if (s.find("inf") != std::string::npos ||
-        s.find("nan") != std::string::npos)
-        s = "0";
-    out << s;
-}
-
-} // namespace
-
 HistoryRecord
 HistoryRecord::fromManifest(const obs::RunManifest &manifest)
 {
@@ -88,7 +69,7 @@ HistoryRecord::toJsonLine() const
     for (const auto &[name, value] : values) {
         out << (first ? "" : ",") << "\"" << obs::escapeJson(name)
             << "\":";
-        writeNumber(out, value);
+        obs::writeJsonNumber(out, value);
         first = false;
     }
     out << "},\"extra\":{";

@@ -37,8 +37,10 @@ constexpr const char *kUsage =
     "  compact [--history FILE] [--keep N]\n"
     "      atomically rewrite the store, dropping corrupt lines\n"
     "  merge DIR... [--out FILE] [--history FILE]\n"
-    "      fold shard checkpoint journals into one merged grid;\n"
-    "      exit 1 when shards or cells are missing\n";
+    "      fold shard checkpoint journals into one grid, written as\n"
+    "      the fig2 cache text (a complete merge equals the serial\n"
+    "      sweep's fig2_cache_*.txt); exit 1 when shards or cells\n"
+    "      are missing\n";
 
 /** Tiny flag cursor over the args vector. */
 class Args
@@ -372,7 +374,7 @@ runMerge(Args &args, std::ostream &out, std::ostream &err)
     }
 
     std::string write_error;
-    if (!obs::atomicWriteFile(out_path, renderMergedGrid(merged),
+    if (!obs::atomicWriteFile(out_path, serializeGrid(merged.grid),
                               &write_error)) {
         err << "smq_sentinel: cannot write " << out_path
             << (write_error.empty() ? "" : " (" + write_error + ")")
@@ -411,17 +413,7 @@ runMerge(Args &args, std::ostream &out, std::ostream &err)
         for (const std::string &shard : merged.shardsSeen)
             shards += (shards.empty() ? "" : ",") + shard;
         record.extra["shards"] = shards;
-        for (std::size_t r = 0; r < merged.rows.size(); ++r) {
-            for (const CheckpointCell &cell : merged.cells[r]) {
-                if (!cell.final || cell.scores.empty())
-                    continue;
-                double sum = 0.0;
-                for (double s : cell.scores)
-                    sum += s;
-                record.values["score." + cell.key()] =
-                    sum / static_cast<double>(cell.scores.size());
-            }
-        }
+        record.values = gridScoreValues(merged.grid);
         std::string append_error;
         if (!appendHistory(history, record, &append_error)) {
             err << "smq_sentinel: cannot append to " << history

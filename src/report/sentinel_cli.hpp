@@ -19,8 +19,9 @@
  *     compact [--history FILE] [--keep N]
  *         Rewrite the store atomically, dropping corrupt lines.
  *     merge DIR... [--out FILE] [--history FILE]
- *         Fold shard checkpoint journals into one merged grid report,
- *         flagging overlapping and missing shards/cells.
+ *         Fold shard checkpoint journals into one grid, written as the
+ *         fig2 cache text, flagging overlapping and missing
+ *         shards/cells.
  *
  * Exit codes: 0 success (including grace passes), 1 perf regression
  * or incomplete merge, 2 usage or I/O error.

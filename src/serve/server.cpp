@@ -42,20 +42,6 @@ serveFaultProfile()
     return profile;
 }
 
-/** Same inf/nan-guarded 17-digit float text as the journal/cache. */
-void
-writeNumber(std::ostream &out, double value)
-{
-    std::ostringstream text;
-    text.precision(17);
-    text << value;
-    std::string s = text.str();
-    if (s.find("inf") != std::string::npos ||
-        s.find("nan") != std::string::npos)
-        s = "0";
-    out << s;
-}
-
 /** Render the smq-serve-result-v1 payload of one finished run. */
 std::string
 renderResult(const core::BenchmarkRun &run, const SubmitSpec &spec,
@@ -75,14 +61,14 @@ renderResult(const core::BenchmarkRun &run, const SubmitSpec &spec,
     for (std::size_t i = 0; i < run.scores.size(); ++i) {
         if (i)
             out << ",";
-        writeNumber(out, run.scores[i]);
+        obs::writeJsonNumber(out, run.scores[i]);
     }
     out << "],\"mean\":";
-    writeNumber(out, run.summary.mean);
+    obs::writeJsonNumber(out, run.summary.mean);
     out << ",\"stddev\":";
-    writeNumber(out, run.summary.stddev);
+    obs::writeJsonNumber(out, run.summary.stddev);
     out << ",\"error_bar_scale\":";
-    writeNumber(out, run.errorBarScale);
+    obs::writeJsonNumber(out, run.errorBarScale);
     out << ",\"planned_repetitions\":" << run.plannedRepetitions
         << ",\"attempts\":" << run.attempts
         << ",\"physical_two_qubit_gates\":" << run.physicalTwoQubitGates
@@ -651,11 +637,11 @@ Server::handleStats()
             << ",\"done\":" << counts.done
             << ",\"cancelled\":" << counts.cancelled << "}"
             << ",\"job_ns\":{\"count\":" << job_ns.count << ",\"p50\":";
-        writeNumber(out, obs::histogramQuantile(job_ns, 0.5));
+        obs::writeJsonNumber(out, obs::histogramQuantile(job_ns, 0.5));
         out << ",\"p90\":";
-        writeNumber(out, obs::histogramQuantile(job_ns, 0.9));
+        obs::writeJsonNumber(out, obs::histogramQuantile(job_ns, 0.9));
         out << ",\"p99\":";
-        writeNumber(out, obs::histogramQuantile(job_ns, 0.99));
+        obs::writeJsonNumber(out, obs::histogramQuantile(job_ns, 0.99));
         out << "}"
             << ",\"cache\":{\"entries\":" << cache.entries
             << ",\"bytes\":" << cache.bytes
@@ -664,7 +650,7 @@ Server::handleStats()
             << ",\"misses\":" << cache.misses
             << ",\"evictions\":" << cache.evictions
             << ",\"hit_ratio\":";
-        writeNumber(out, ratio);
+        obs::writeJsonNumber(out, ratio);
         out << "}}";
         reply = out.str();
     }

@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <random>
 #include <set>
 #include <sstream>
@@ -561,6 +562,26 @@ TEST(ObsManifest, RejectsWrongSchema)
 // ---------------------------------------------------------------------
 // Determinism: observability must not perturb results
 // ---------------------------------------------------------------------
+
+TEST(ObsJson, NumberWriterKeepsSeventeenDigitsAndZeroesNonFinite)
+{
+    // The one number writer of the history store, the checkpoint
+    // journal and the serve replies: every double reads back exactly,
+    // and inf/nan (invalid JSON) become 0.
+    const auto text = [](double value) {
+        std::ostringstream out;
+        obs::writeJsonNumber(out, value);
+        return out.str();
+    };
+    EXPECT_EQ(text(0.1), "0.10000000000000001");
+    EXPECT_EQ(text(1.0 / 3.0), "0.33333333333333331");
+    EXPECT_EQ(text(2.0), "2");
+    EXPECT_EQ(text(-1e-300), "-1e-300");
+    EXPECT_EQ(obs::parseJson(text(1.0 / 3.0)).asDouble(), 1.0 / 3.0);
+    EXPECT_EQ(text(std::numeric_limits<double>::infinity()), "0");
+    EXPECT_EQ(text(-std::numeric_limits<double>::infinity()), "0");
+    EXPECT_EQ(text(std::numeric_limits<double>::quiet_NaN()), "0");
+}
 
 TEST(ObsDeterminism, GridByteIdenticalWithTracingOnAtAnyJobs)
 {

@@ -947,7 +947,7 @@ TEST(PlanRecord, CheckpointCellRoundTripsThePlan)
     header.devices = {"devA"};
     header.benchmarks = {"b1"};
 
-    report::CheckpointCell cell;
+    core::BenchmarkRun cell;
     cell.benchmark = "b1";
     cell.device = "devA";
     cell.plan = "trajectory:width>dm-cutoff";

@@ -15,6 +15,7 @@
 #include <sys/wait.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -137,10 +138,10 @@ demoHeader()
     return header;
 }
 
-report::CheckpointRow
+report::GridRow
 demoRow(const std::string &benchmark)
 {
-    report::CheckpointRow row;
+    report::GridRow row;
     row.benchmark = benchmark;
     row.isErrorCorrection = false;
     row.features = {0.1, 0.2, 0.3, 0.4, 0.5, 0.625};
@@ -148,16 +149,15 @@ demoRow(const std::string &benchmark)
     return row;
 }
 
-report::CheckpointCell
+core::BenchmarkRun
 demoCell(const std::string &benchmark, const std::string &device,
          double score)
 {
-    report::CheckpointCell cell;
+    core::BenchmarkRun cell;
     cell.benchmark = benchmark;
     cell.device = device;
-    cell.final = true;
-    cell.status = 0;
-    cell.cause = 0;
+    cell.status = core::RunStatus::Ok;
+    cell.cause = core::FailureCause::None;
     cell.plannedRepetitions = 2;
     cell.attempts = 2;
     cell.errorBarScale = 1.0;
@@ -193,12 +193,73 @@ TEST(Checkpoint, JournalRoundTripsExactly)
     EXPECT_TRUE(load.header.sameWorkload(header));
     EXPECT_EQ(load.header.tool, "test");
     ASSERT_EQ(load.rows.size(), 2u);
-    EXPECT_EQ(load.rows[0].toJsonLine(), demoRow("bench1").toJsonLine());
+    EXPECT_EQ(report::journalLine(load.rows[0]),
+              report::journalLine(demoRow("bench1")));
     ASSERT_EQ(load.cells.size(), 4u);
-    EXPECT_EQ(load.cells[0].toJsonLine(),
-              demoCell("bench1", "devA", 0.9).toJsonLine());
+    EXPECT_EQ(report::journalLine(load.cells[0]),
+              report::journalLine(demoCell("bench1", "devA", 0.9)));
     EXPECT_EQ(load.skippedLines, 0u);
     EXPECT_FALSE(load.corruptTail);
+    fs::remove_all(dir);
+}
+
+TEST(Checkpoint, JournalLinesArePinned)
+{
+    // Recorded from the journal writer before the grid and the journal
+    // shared one type: a drift here breaks resuming older journals.
+    const std::string row_line =
+        "{\"schema\":\"smq-checkpoint-v1\",\"kind\":\"row\","
+        "\"benchmark\":\"bit_code_4_3\",\"error_correction\":true,"
+        "\"features\":[0.33333333333333331,0.10000000000000001,"
+        "0.2857142857142857,0.94999999999999996,0.12345678901234568,0],"
+        "\"stats\":[7,19,44,12,10,3]}";
+    const std::string cell_line =
+        "{\"schema\":\"smq-checkpoint-v1\",\"kind\":\"cell\","
+        "\"benchmark\":\"bit_code_4_3\",\"device\":\"IBM-Casablanca\","
+        "\"final\":false,\"status\":1,\"cause\":10,\"planned\":3,"
+        "\"attempts\":4,\"error_bar\":1.2247448713915889,\"swaps\":5,"
+        "\"phys_2q\":23,"
+        "\"plan\":\"density-matrix:exact-noise+trajectory:mid-circuit\","
+        "\"scores\":[0.6180339887498949,0.33333333333333331]}";
+
+    report::GridRow row;
+    row.benchmark = "bit_code_4_3";
+    row.isErrorCorrection = true;
+    row.features = {1.0 / 3.0, 0.1, 2.0 / 7.0, 0.95, 0.123456789012345678,
+                    0.0};
+    row.stats = {7, 19, 44, 12, 10, 3};
+    EXPECT_EQ(report::journalLine(row), row_line);
+
+    core::BenchmarkRun cell;
+    cell.benchmark = "bit_code_4_3";
+    cell.device = "IBM-Casablanca";
+    cell.status = core::RunStatus::Partial;
+    cell.cause = core::FailureCause::Interrupted;
+    cell.plannedRepetitions = 3;
+    cell.attempts = 4;
+    cell.errorBarScale = std::sqrt(3.0 / 2.0);
+    cell.swapsInserted = 5;
+    cell.physicalTwoQubitGates = 23;
+    cell.plan = "density-matrix:exact-noise+trajectory:mid-circuit";
+    cell.scores = {(std::sqrt(5.0) - 1.0) / 2.0, 1.0 / 3.0};
+    EXPECT_EQ(report::journalLine(cell), cell_line);
+
+    // The reader takes both lines back to the same records.
+    fs::path dir = freshDir("pinned");
+    {
+        report::CheckpointWriter writer(dir.string());
+        ASSERT_TRUE(writer.writeHeader(demoHeader()));
+        std::ofstream out(dir / report::kCheckpointFile, std::ios::app);
+        out << row_line << "\n" << cell_line << "\n";
+    }
+    report::CheckpointLoad load = report::loadCheckpoint(dir.string());
+    EXPECT_EQ(load.skippedLines, 0u);
+    ASSERT_EQ(load.rows.size(), 1u);
+    ASSERT_EQ(load.cells.size(), 1u);
+    EXPECT_EQ(report::journalLine(load.rows[0]), row_line);
+    EXPECT_EQ(report::journalLine(load.cells[0]), cell_line);
+    EXPECT_FALSE(report::isFinal(load.cells[0]));
+    EXPECT_EQ(load.cells[0].summary.n, 2u);
     fs::remove_all(dir);
 }
 
@@ -298,10 +359,10 @@ TEST(Merge, ShardUnionReassemblesAndFlagsOverlap)
     EXPECT_TRUE(merged.missingCells.empty());
     ASSERT_EQ(merged.overlapCells.size(), 1u);
     EXPECT_EQ(merged.overlapCells[0], "bench1@devB");
-    ASSERT_EQ(merged.rows.size(), 2u);
-    ASSERT_EQ(merged.cells.size(), 2u);
-    EXPECT_EQ(merged.cells[1][0].toJsonLine(),
-              demoCell("bench2", "devA", 0.6).toJsonLine());
+    ASSERT_EQ(merged.grid.rows.size(), 2u);
+    ASSERT_EQ(merged.grid.rows[1].runs.size(), 2u);
+    EXPECT_EQ(report::journalLine(merged.grid.rows[1].runs[0]),
+              report::journalLine(demoCell("bench2", "devA", 0.6)));
 
     // A missing shard demotes the merge to incomplete, listing gaps.
     report::MergedGrid partial =
@@ -311,6 +372,12 @@ TEST(Merge, ShardUnionReassemblesAndFlagsOverlap)
     EXPECT_EQ(partial.missingShards[0], 1u);
     EXPECT_EQ(partial.missingCells.size(), 1u);
     EXPECT_EQ(partial.missingCells[0], "bench2@devA");
+    // The gap is the placeholder an unclaimed cell gets, without scores.
+    const core::BenchmarkRun &gap = partial.grid.rows[1].runs[0];
+    EXPECT_EQ(gap.benchmark + "@" + gap.device, "bench2@devA");
+    EXPECT_EQ(gap.status, core::RunStatus::Skipped);
+    EXPECT_EQ(gap.cause, core::FailureCause::Interrupted);
+    EXPECT_TRUE(gap.scores.empty());
 
     fs::remove_all(dir0);
     fs::remove_all(dir1);
@@ -364,8 +431,8 @@ TEST(Merge, SalvagedRecordsFillGapsButNeverDisplaceFinals)
         report::CheckpointWriter writer(dir.string());
         writer.writeHeader(header);
         writer.appendRow(demoRow("bench1"));
-        report::CheckpointCell partial = demoCell("bench1", "devA", 0.4);
-        partial.final = false;
+        core::BenchmarkRun partial = demoCell("bench1", "devA", 0.4);
+        partial.cause = core::FailureCause::Interrupted;
         writer.appendCell(partial);
         writer.appendCell(demoCell("bench1", "devA", 0.9));
     }
@@ -373,7 +440,7 @@ TEST(Merge, SalvagedRecordsFillGapsButNeverDisplaceFinals)
         report::mergeCheckpoints({dir.string()});
     EXPECT_TRUE(merged.complete());
     EXPECT_EQ(merged.salvagedDropped, 1u);
-    EXPECT_EQ(merged.cells[0][0].scores[0], 0.9);
+    EXPECT_EQ(merged.grid.rows[0].runs[0].scores[0], 0.9);
     fs::remove_all(dir);
 }
 
@@ -626,15 +693,21 @@ TEST(Resilience, ShardUnionMergesIdenticallyToSerialForN235)
 {
     fs::path dir = freshDir("shard_union");
 
-    // Serial reference journal (one shard owning everything).
+    // Serial reference journal (one shard owning everything), and the
+    // same sweep's cache text.
     const fs::path serial = dir / "serial";
-    ASSERT_EQ(
-        runGridTool("", "--checkpoint \"" + serial.string() + "\""), 0);
+    const fs::path serial_out = dir / "serial.txt";
+    ASSERT_EQ(runGridTool("", "--checkpoint \"" + serial.string() +
+                                  "\" --out \"" + serial_out.string() +
+                                  "\""),
+              0);
+    const std::string cache_text = readFile(serial_out);
     report::MergedGrid serial_merge =
         report::mergeCheckpoints({serial.string()});
     EXPECT_TRUE(serial_merge.complete());
     const std::string serial_text =
-        report::renderMergedGrid(serial_merge);
+        report::serializeGrid(serial_merge.grid);
+    EXPECT_EQ(serial_text, cache_text);
 
     for (std::size_t n : {2u, 3u, 5u}) {
         std::vector<std::string> journals;
@@ -651,9 +724,40 @@ TEST(Resilience, ShardUnionMergesIdenticallyToSerialForN235)
         report::MergedGrid merged = report::mergeCheckpoints(journals);
         EXPECT_TRUE(merged.complete()) << "N=" << n;
         EXPECT_TRUE(merged.overlapCells.empty()) << "N=" << n;
-        EXPECT_EQ(report::renderMergedGrid(merged), serial_text)
+        const std::string merged_text = report::serializeGrid(merged.grid);
+        EXPECT_EQ(merged_text, serial_text)
             << "shard union for N=" << n
             << " diverged from the serial sweep";
+        EXPECT_EQ(merged_text, cache_text)
+            << "shard union for N=" << n
+            << " is not the serial sweep's cache text";
+    }
+    fs::remove_all(dir);
+}
+
+TEST(Resilience, MergedTextReadsBackThroughTheCacheReader)
+{
+    fs::path dir = freshDir("merge_reader");
+    const fs::path j0 = dir / "s0", j1 = dir / "s1";
+    ASSERT_EQ(runGridTool("", "--shard 0/2 --checkpoint \"" +
+                                  j0.string() + "\""),
+              0);
+    ASSERT_EQ(runGridTool("", "--shard 1/2 --checkpoint \"" +
+                                  j1.string() + "\""),
+              0);
+    // A complete merge, and one shard alone, whose gaps are the
+    // Skipped(Interrupted) placeholders.
+    for (const std::vector<std::string> &journals :
+         {std::vector<std::string>{j0.string(), j1.string()},
+          std::vector<std::string>{j0.string()}}) {
+        const std::string text = report::serializeGrid(
+            report::mergeCheckpoints(journals).grid);
+        std::istringstream in(text);
+        report::Fig2Grid loaded;
+        ASSERT_TRUE(report::parseGrid(in, loaded))
+            << journals.size() << " journal(s)";
+        EXPECT_EQ(report::serializeGrid(loaded), text)
+            << journals.size() << " journal(s)";
     }
     fs::remove_all(dir);
 }
@@ -679,7 +783,10 @@ TEST(Resilience, SentinelMergeCliReportsAndExitCodes)
     EXPECT_EQ(code, report::kSentinelOk) << stderr_text.str();
     EXPECT_NE(stdout_text.str().find("verdict: complete"),
               std::string::npos);
-    EXPECT_FALSE(readFile(out).empty());
+    EXPECT_EQ(readFile(out),
+              report::serializeGrid(
+                  report::mergeCheckpoints({j0.string(), j1.string()})
+                      .grid));
 
     report::HistoryLoad load = report::loadHistory(history.string());
     ASSERT_EQ(load.records.size(), 1u);

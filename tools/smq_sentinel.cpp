@@ -3,7 +3,7 @@
  * Thin entry point for the perf sentinel; all logic (and its tests)
  * live in src/report/sentinel_cli.cpp. The `submit` subcommand is the
  * serve-daemon client (src/serve/serve_cli.cpp) and is dispatched
- * here so the report library keeps its obs-only dependency set.
+ * here so the report library need not link the serve layer.
  */
 
 #include <iostream>
