@@ -477,6 +477,43 @@ perfHarness(int argc, char **argv)
                }));
     }
 
+    {
+        // The trajectory engine's idle passes alone: relax qubit q of
+        // every lane, summing qubit q + 1's P(1) in the same pass, for
+        // every q, at the shapes of the grid's widest trajectory cells
+        // (one 2^16 lane; eight 2^11 lanes). Fixed Decay events, their
+        // factors alternating with the inverses so the state stays put;
+        // a third of the lanes also dephase.
+        auto sweeps = [](std::size_t n, std::size_t lanes) {
+            sim::StateLanes state(n, lanes);
+            state.resetToZero(lanes);
+            for (std::size_t q = 0; q < n; ++q)
+                state.applyGate(qc::Gate(qc::GateType::RY,
+                                         {static_cast<qc::Qubit>(q)},
+                                         {0.3 + 0.1 * static_cast<double>(q)}));
+            std::vector<sim::Relaxation> up(lanes), down(lanes);
+            for (std::size_t l = 0; l < lanes; ++l) {
+                up[l].damping = sim::Relaxation::Damping::Decay;
+                up[l].keep0 = 1.001;
+                up[l].keep1 = 0.999;
+                up[l].dephase = l % 3 == 1;
+                down[l] = up[l];
+                down[l].keep0 = 1.0 / 1.001;
+                down[l].keep1 = 1.0 / 0.999;
+            }
+            std::vector<double> p1;
+            for (std::size_t s = 0; s < 40; ++s) {
+                for (std::size_t q = 0; q < n; ++q)
+                    state.relax(q, s % 2 ? down : up, (q + 1) % n, p1);
+            }
+            benchmark::DoNotOptimize(p1.data());
+        };
+        record("idle_passes_all_strides", timeIt([&] {
+                   sweeps(16, 1);
+                   sweeps(11, 8);
+               }));
+    }
+
     // Observability overhead: a noisy GHZ-12 run (stabilizer tableau)
     // with the metric registry off, then on. The instrumented sites
     // in the simulator and pool are the real ones, so this measures

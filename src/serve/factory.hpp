@@ -6,8 +6,7 @@
  * Batch tools iterate suites built in code; a daemon receives the
  * benchmark as a *string* and must reconstruct the instance. The
  * factory inverts the canonical Benchmark::name() grammar — the same
- * names the Fig. 2 grid, checkpoint journals and history records use
- * — so a client can name any instance the batch tools can produce:
+ * names the Fig. 2 grid, checkpoint journals and history records use:
  *
  *     ghz_<N>                        GhzBenchmark(N)
  *     mermin_bell_<N>                MerminBellBenchmark(N)
@@ -20,7 +19,12 @@
  *
  * Variational benchmarks (QAOA, VQE) use their default problem seed,
  * so a name maps to exactly one instance and the cache key derived
- * from its circuits is stable across daemon restarts.
+ * from its circuits is stable across daemon restarts. For QAOA that
+ * is not the batch tools' instance: the name carries no seed, and
+ * figure2Benchmarks() builds SK seed N, quickSuite() seed 3, this
+ * factory seed 1. So qaoa_vanilla_4 names three different instances,
+ * and no submit reproduces a Fig. 2 QAOA cell. Every other name
+ * builds the instance the batch tools build.
  */
 
 #ifndef SMQ_SERVE_FACTORY_HPP

@@ -185,13 +185,19 @@ poolChunks(std::size_t count, std::size_t jobs,
 
 namespace detail {
 
+std::size_t
+dispatchJobs(std::size_t count, std::size_t elements)
+{
+    return count <= 1 ? 1 : kernelJobs(elements);
+}
+
 void
 dispatchChunks(std::size_t count, std::size_t elements,
                const std::function<void(std::size_t)> &task)
 {
     if (count == 0)
         return;
-    const std::size_t jobs = count == 1 ? 1 : kernelJobs(elements);
+    const std::size_t jobs = dispatchJobs(count, elements);
     if (jobs <= 1)
         serialChunks(count, task);
     else

@@ -104,6 +104,9 @@ void forEachRange(std::size_t n, std::size_t elements,
 inline constexpr std::size_t kReduceGrain = std::size_t{1} << 14;
 
 namespace detail {
+/** Threads dispatchChunks(count, elements, ...) may use; 1 = serial. */
+std::size_t dispatchJobs(std::size_t count, std::size_t elements);
+
 /** Run task(chunk) for chunks [0, count), parallel when allowed. */
 void dispatchChunks(std::size_t count, std::size_t elements,
                     const std::function<void(std::size_t)> &task);

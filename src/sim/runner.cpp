@@ -118,7 +118,8 @@ drawRelaxation(const IdleChannel &idle, double p1, stats::Rng &rng)
  * stochastic events is drawn from rngs[l] in the order a lone
  * trajectory draws it and applied only to the lanes it hits, so every
  * lane reproduces its lone trajectory exactly. Every step is one
- * kernel over all lanes.
+ * kernel over all lanes, and a touched idle step's relax also sums the
+ * P(1) the next step reads (see sumAfter_).
  */
 class LaneBatch
 {
@@ -126,8 +127,33 @@ class LaneBatch
     LaneBatch(const qc::Circuit &circuit, const NoiseModel &noise,
               StateLanes &state)
         : circuit_(circuit), plan_(noisySteps(circuit, noise)),
-          state_(state)
+          state_(state), sumAfter_(plan_.steps.size(), kNone)
     {
+        const std::vector<NoisyStep> &steps = plan_.steps;
+        auto readsP1 = [&](const NoisyStep &s) {
+            switch (s.kind) {
+              case NoisyStep::Kind::Measure:
+              case NoisyStep::Kind::Reset:
+                return true;
+              case NoisyStep::Kind::Idle:
+                return !s.untouched && plan_.idle[s.index].damp > 0.0;
+              default:
+                return false;
+            }
+        };
+        for (std::size_t i = 0; i < steps.size(); ++i) {
+            if (steps[i].kind != NoisyStep::Kind::Idle || steps[i].untouched)
+                continue;
+            // An untouched idle step neither reads P(1) nor moves an
+            // amplitude, so the sum may reach past it.
+            std::size_t j = i + 1;
+            while (j < steps.size() &&
+                   steps[j].kind == NoisyStep::Kind::Idle &&
+                   steps[j].untouched)
+                ++j;
+            if (j < steps.size() && readsP1(steps[j]))
+                sumAfter_[i] = j;
+        }
     }
 
     /** Run one lane per stream of @p rngs; clbits()[l] is lane l's. */
@@ -142,17 +168,29 @@ class LaneBatch
         first_.assign(lanes, nullptr);
         second_.assign(lanes, nullptr);
         relax_.assign(lanes, Relaxation{});
-        for (const NoisyStep &s : plan_.steps)
-            step(s, rngs);
+        p1For_ = kNone;
+        for (std::size_t i = 0; i < plan_.steps.size(); ++i)
+            step(i, rngs);
     }
 
     const std::vector<std::string> &clbits() const { return clbits_; }
 
   private:
-    /** One noisy step on every lane. */
+    static constexpr std::size_t kNone = ~std::size_t{0};
+
+    /** p1_ = each lane's P(1) of step @p i's qubit, unless summed. */
     void
-    step(const NoisyStep &s, std::vector<stats::Rng> &rngs)
+    loadP1(std::size_t i)
     {
+        if (p1For_ != i)
+            state_.probabilitiesOfOne(plan_.steps[i].q0, p1_);
+    }
+
+    /** Noisy step @p i on every lane. */
+    void
+    step(std::size_t i, std::vector<stats::Rng> &rngs)
+    {
+        const NoisyStep &s = plan_.steps[i];
         const std::size_t lanes = rngs.size();
         switch (s.kind) {
           case NoisyStep::Kind::Gate:
@@ -161,7 +199,7 @@ class LaneBatch
           case NoisyStep::Kind::Measure: {
             const auto cbit =
                 static_cast<std::size_t>(circuit_.gates()[s.index].cbit);
-            state_.probabilitiesOfOne(s.q0, p1_);
+            loadP1(i);
             for (std::size_t l = 0; l < lanes; ++l) {
                 outcome_[l] = rngs[l].bernoulli(p1_[l]) ? 1 : 0;
                 const bool flip = rngs[l].bernoulli(s.p);
@@ -173,7 +211,7 @@ class LaneBatch
           case NoisyStep::Kind::Reset:
             // Measure, flip a 1 back to |0>, then the residual
             // excitation of an imperfect reset.
-            state_.probabilitiesOfOne(s.q0, p1_);
+            loadP1(i);
             for (std::size_t l = 0; l < lanes; ++l) {
                 outcome_[l] = rngs[l].bernoulli(p1_[l]) ? 1 : 0;
                 first_[l] = outcome_[l] == 1 ? pauli(1) : nullptr;
@@ -204,10 +242,17 @@ class LaneBatch
                 return;
             }
             if (idle.damp > 0.0)
-                state_.probabilitiesOfOne(s.q0, p1_);
+                loadP1(i);
             for (std::size_t l = 0; l < lanes; ++l)
                 relax_[l] = drawRelaxation(idle, p1_[l], rngs[l]);
-            state_.relax(s.q0, relax_);
+            // The events are drawn: p1_ may now take the next step's
+            // P(1), summed in the relax pass. When every event is a
+            // no-op nothing is walked, and that step sums its own.
+            const std::size_t next = sumAfter_[i];
+            if (next == kNone)
+                state_.relax(s.q0, relax_);
+            else if (state_.relax(s.q0, relax_, plan_.steps[next].q0, p1_))
+                p1For_ = next;
             return;
           }
         }
@@ -223,6 +268,14 @@ class LaneBatch
     std::vector<const Matrix2 *> first_;
     std::vector<const Matrix2 *> second_;
     std::vector<Relaxation> relax_;
+    /**
+     * sumAfter_[i]: for a touched idle step, the next step that reads a
+     * P(1) (a measure, a reset, or a touched idle step that damps)
+     * when only untouched idle steps lie between them; else kNone.
+     */
+    std::vector<std::size_t> sumAfter_;
+    /** The step whose P(1) p1_ already holds; kNone if none. */
+    std::size_t p1For_ = kNone;
 };
 
 /** Index of the last MEASURE instruction; gates().size() if none. */

@@ -1,6 +1,7 @@
 #include "sim/simd.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
@@ -15,6 +16,9 @@ void pairRangeAvx2(Complex *amps, std::size_t pb, std::size_t pe,
                    std::size_t q, const Matrix2 &m);
 void quadRangeAvx2(Complex *amps, std::size_t kb, std::size_t ke,
                    std::size_t q0, std::size_t q1, const Matrix4 &m);
+void idleChainsAvx2(Complex *const *chains, std::size_t count,
+                    std::size_t len, std::size_t q, const IdleScale *scale,
+                    std::size_t qs, double *sums);
 #endif
 
 void
@@ -88,6 +92,148 @@ quadRangeScalar(Complex *amps, std::size_t kb, std::size_t ke, std::size_t q0,
         }
         k += run;
     }
+}
+
+namespace {
+
+/**
+ * The scalar idle walker over K chains side by side, a pair of
+ * amplitudes of every chain at a time, so the K sums' chains of adds
+ * overlap. It walks runs over which neither bit >= 1 changes; bit 0
+ * varies inside each pair. kHighOnly sums only each pair's high
+ * amplitude (the sum bit is bit 0). The AVX2 body does the same
+ * products and adds, one pair per vector.
+ */
+template <std::size_t K, bool kScale, bool kSum, bool kHighOnly>
+void
+idleScalar(Complex *const *chains, std::size_t len, std::size_t q,
+           const IdleScale *scale, std::size_t qs, double *sums)
+{
+    double *p[K];
+    for (std::size_t k = 0; k < K; ++k)
+        p[k] = reinterpret_cast<double *>(chains[k]);
+    const bool scaleRuns = kScale && q != kNoBit && q > 0;
+    const bool sumRuns = kSum && qs != kNoBit && qs > 0;
+    std::size_t r = len;
+    if (scaleRuns)
+        r = std::size_t{1} << q;
+    if (sumRuns)
+        r = std::min(r, std::size_t{1} << qs);
+    double acc[K] = {};
+    // One run's pairs: each chain's factors for the low and high
+    // amplitude, and whether the run adds to the sums.
+    auto pairs = [&](std::size_t i, const double *flo, const double *fhi,
+                     auto add) {
+        for (std::size_t j = 2 * i; j < 2 * (i + r); j += 4) {
+#pragma GCC unroll 4
+            for (std::size_t k = 0; k < K; ++k) {
+                double *a = p[k] + j;
+                double lr = a[0], li = a[1], hr = a[2], hi = a[3];
+                if constexpr (kScale) {
+                    lr *= flo[k];
+                    li *= flo[k];
+                    hr *= fhi[k];
+                    hi *= fhi[k];
+                    a[0] = lr;
+                    a[1] = li;
+                    a[2] = hr;
+                    a[3] = hi;
+                }
+                if constexpr (decltype(add)::value) {
+                    if constexpr (!kHighOnly)
+                        acc[k] += lr * lr + li * li;
+                    acc[k] += hr * hr + hi * hi;
+                }
+            }
+        }
+    };
+    for (std::size_t i = 0; i < len; i += r) {
+        double flo[K] = {}, fhi[K] = {};
+        if constexpr (kScale) {
+            const bool set = scaleRuns && ((i >> q) & 1);
+            for (std::size_t k = 0; k < K; ++k) {
+                flo[k] = set ? scale[k].f1 : scale[k].f0;
+                fhi[k] = q == 0 ? scale[k].f1 : flo[k];
+            }
+        }
+        if (kSum && (!sumRuns || ((i >> qs) & 1)))
+            pairs(i, flo, fhi, std::bool_constant<kSum>{});
+        else if (kScale)
+            pairs(i, flo, fhi, std::false_type{});
+    }
+    if constexpr (kSum)
+        std::copy(acc, acc + K, sums);
+}
+
+template <std::size_t K>
+void
+idleScalarK(Complex *const *chains, std::size_t len, std::size_t q,
+            const IdleScale *scale, std::size_t qs, double *sums)
+{
+    if (sums == nullptr)
+        idleScalar<K, true, false, false>(chains, len, q, scale, qs, sums);
+    else if (scale == nullptr && qs == 0)
+        idleScalar<K, false, true, true>(chains, len, q, scale, qs, sums);
+    else if (scale == nullptr)
+        idleScalar<K, false, true, false>(chains, len, q, scale, qs, sums);
+    else if (qs == 0)
+        idleScalar<K, true, true, true>(chains, len, q, scale, qs, sums);
+    else
+        idleScalar<K, true, true, false>(chains, len, q, scale, qs, sums);
+}
+
+/** idleChains' reference body. */
+void
+idleChainsScalar(Complex *const *chains, std::size_t count, std::size_t len,
+                 std::size_t q, const IdleScale *scale, std::size_t qs,
+                 double *sums)
+{
+    switch (count) {
+      case 1:
+        idleScalarK<1>(chains, len, q, scale, qs, sums);
+        return;
+      case 2:
+        idleScalarK<2>(chains, len, q, scale, qs, sums);
+        return;
+      case 3:
+        idleScalarK<3>(chains, len, q, scale, qs, sums);
+        return;
+      default:
+        idleScalarK<kIdleChains>(chains, len, q, scale, qs, sums);
+        return;
+    }
+}
+
+} // namespace
+
+void
+idleChains(Complex *const *chains, std::size_t count, std::size_t len,
+           std::size_t q, const IdleScale *scale, std::size_t qs,
+           double *sums)
+{
+#ifdef SMQ_HAVE_AVX2
+    if (usingAvx2()) {
+        idleChainsAvx2(chains, count, len, q, scale, qs, sums);
+        return;
+    }
+#endif
+    idleChainsScalar(chains, count, len, q, scale, qs, sums);
+}
+
+void
+jumpRange(Complex *amps, std::size_t pb, std::size_t pe, std::size_t q,
+          double keep1, bool negate)
+{
+    const double zero = negate ? -0.0 : 0.0;
+    const std::size_t stride = std::size_t{1} << q;
+    dense::forPairRuns(pb, pe, q, [&](std::size_t i0, std::size_t run) {
+        double *lo = reinterpret_cast<double *>(amps + i0);
+        double *hi = lo + 2 * stride;
+        for (std::size_t k = 0; k < 2 * run; ++k) {
+            lo[k] = hi[k] * keep1;
+            hi[k] = zero;
+        }
+    });
 }
 
 void

@@ -18,6 +18,11 @@
  * the SMQ_SIMD CMake option, selected at runtime via
  * kernels::usingAvx2()) produces bit-identical results at every stride
  * and either path can satisfy the byte-identity contract.
+ *
+ * The trajectory engine's idle steps have a third walker, idleChains:
+ * it multiplies amplitudes by real factors chosen by one index bit,
+ * sums |a|^2 over the amplitudes with another bit set, or both in one
+ * pass, over up to four reduce chains side by side.
  */
 
 #ifndef SMQ_SIM_SIMD_HPP
@@ -62,6 +67,53 @@ void pairRangeScalar(Complex *amps, std::size_t pb, std::size_t pe,
                      std::size_t q, const Matrix2 &m);
 void quadRangeScalar(Complex *amps, std::size_t kb, std::size_t ke,
                      std::size_t q0, std::size_t q1, const Matrix4 &m);
+
+/** idleChains bit meaning "no bit of the chain": see idleChains. */
+inline constexpr std::size_t kNoBit = ~std::size_t{0};
+
+/** Most chains one idleChains call walks side by side. */
+inline constexpr std::size_t kIdleChains = 4;
+
+/**
+ * One chain's real factors: amplitudes whose scale bit is clear are
+ * multiplied by f0, those with it set by f1 (re and im each once).
+ */
+struct IdleScale
+{
+    double f0 = 1.0;
+    double f1 = 1.0;
+};
+
+/**
+ * The idle walker: @p count <= kIdleChains chains of @p len amplitudes
+ * (a power of two, at least 2), chain k at @p chains[k], walked side
+ * by side, each in ascending index order.
+ *
+ *  - With @p scale, amplitude i of chain k becomes a_i * scale[k].f0
+ *    when bit @p q of i is clear and a_i * scale[k].f1 when it is set;
+ *    q == kNoBit scales the whole chain by f0.
+ *  - With @p sums, sums[k] is the sum of |a_i|^2 (after the scale)
+ *    over the amplitudes i of chain k with bit @p qs set, each
+ *    std::norm(a_i) added to 0.0 in ascending order of i; qs == kNoBit
+ *    sums every amplitude. Each chain is its own sequence of adds, so
+ *    sums[k] does not depend on the other chains, on @p count or on
+ *    whether the pass also scales.
+ *
+ * Bits other than kNoBit are below log2(len). One of @p scale and
+ * @p sums is non-null. A sum-only walk reads only the bit-qs-set runs.
+ */
+void idleChains(Complex *const *chains, std::size_t count, std::size_t len,
+                std::size_t q, const IdleScale *scale, std::size_t qs,
+                double *sums);
+
+/**
+ * An amplitude-damping jump on the bit-@p q pairs of pair indices
+ * [@p pb, @p pe): the |0> amplitude becomes the |1> one times
+ * @p keep1 and the |1> amplitude 0 (-0 in both parts when @p negate).
+ * Jumps are rare, so this body is scalar on either path.
+ */
+void jumpRange(Complex *amps, std::size_t pb, std::size_t pe, std::size_t q,
+               double keep1, bool negate);
 
 /** Bump the sim.kernel.simd_* counter for one dense gate kernel. */
 void recordSimdPath();

@@ -16,11 +16,17 @@
  * 128-bit halves instead: at stride 1 one vector holds a whole pair,
  * and quads whose lower bit is bit 0 go two to a vector. Every element
  * still sees the scalar body's products and sums in the scalar order.
+ *
+ * The idle walker holds one pair per vector too, so a stride-1 scale
+ * is one multiply by [f0, f0, f1, f1]. Its sums keep the four chains'
+ * accumulators in the four lanes of one vector: lane k adds chain k's
+ * terms in the scalar order, and the chains' adds run side by side.
  */
 
 #include <immintrin.h>
 
 #include <algorithm>
+#include <type_traits>
 
 #include "sim/simd.hpp"
 
@@ -127,6 +133,153 @@ quadPairsOnBit0(double *base, std::size_t kb, std::size_t ke,
     return k;
 }
 
+// The idle walker's run structure: a chain splits into runs over which
+// neither the scale bit nor the sum bit changes, and the runtime
+// (count, scale, sum) of a call selects one compile-time instantiation.
+
+/** Which amplitudes of a walk enter its sums. */
+enum class IdleSum {
+    None,  ///< no sum
+    Bit0,  ///< the sum bit is bit 0: each pair's high amplitude
+    Runs,  ///< the sum bit is bit 1 or above: every other run
+    Every, ///< kNoBit: every amplitude
+};
+
+/** What one run adds to its chains, per pair of amplitudes. */
+enum class IdleTerms {
+    None, ///< nothing
+    High, ///< the high amplitude
+    Both, ///< the low, then the high amplitude
+};
+
+template <IdleTerms kTerms>
+using TermsTag = std::integral_constant<IdleTerms, kTerms>;
+
+/** Which of a chain's two factors a run takes. */
+template <std::size_t kHalf>
+using HalfTag = std::integral_constant<std::size_t, kHalf>;
+
+/**
+ * acc = run(terms, i, r, half, acc) for runs [i, i + r) that tile
+ * [0, len) in ascending order, then return acc. terms is a TermsTag
+ * and half a HalfTag, both compile-time at every call so each run body
+ * is inlined with its factors in registers; the sums go by value, so
+ * they stay in registers too. half is bit @p q of the run when the
+ * scale alternates by run (q >= 1), else 0: at q = 0 every pair holds
+ * both factors, and kNoBit has one. A sum-only walk skips the runs
+ * with the sum bit clear.
+ */
+template <bool kScale, IdleSum kSum, typename Acc, typename RunFn>
+[[gnu::always_inline]] inline Acc
+walkIdleRuns(std::size_t len, std::size_t q, std::size_t qs, Acc acc,
+             const RunFn &run)
+{
+    constexpr TermsTag<IdleTerms::None> none;
+    constexpr TermsTag<IdleTerms::Both> both;
+    const bool scaleRuns = kScale && q != kNoBit && q > 0;
+    const std::size_t rq = scaleRuns ? std::size_t{1} << q : len;
+    // [start, start + length) in runs of rq, the factor alternating.
+    auto alternate = [&](auto terms, std::size_t start, std::size_t length,
+                         Acc a) __attribute__((always_inline)) {
+        if (!scaleRuns)
+            return run(terms, start, length, HalfTag<0>{}, a);
+        for (std::size_t j = start; j < start + length; j += 2 * rq) {
+            a = run(terms, j, rq, HalfTag<0>{}, a);
+            a = run(terms, j + rq, rq, HalfTag<1>{}, a);
+        }
+        return a;
+    };
+    if constexpr (kSum == IdleSum::None) {
+        return alternate(none, 0, len, acc);
+    } else if constexpr (kSum == IdleSum::Bit0) {
+        return alternate(TermsTag<IdleTerms::High>{}, 0, len, acc);
+    } else if constexpr (kSum == IdleSum::Every) {
+        return alternate(both, 0, len, acc);
+    } else {
+        const std::size_t rs = std::size_t{1} << qs;
+        if (!scaleRuns || q < qs) {
+            // Each sum-bit run holds whole scale runs.
+            for (std::size_t i = 0; i < len; i += 2 * rs) {
+                if constexpr (kScale)
+                    acc = alternate(none, i, rs, acc);
+                acc = alternate(both, i + rs, rs, acc);
+            }
+        } else if (q == qs) {
+            for (std::size_t i = 0; i < len; i += 2 * rs) {
+                acc = run(none, i, rs, HalfTag<0>{}, acc);
+                acc = run(both, i + rs, rs, HalfTag<1>{}, acc);
+            }
+        } else {
+            // Each scale run holds whole sum-bit runs.
+            for (std::size_t i = 0; i < len; i += 2 * rq) {
+                for (std::size_t j = i; j < i + rq; j += 2 * rs) {
+                    acc = run(none, j, rs, HalfTag<0>{}, acc);
+                    acc = run(both, j + rs, rs, HalfTag<0>{}, acc);
+                }
+                for (std::size_t j = i + rq; j < i + 2 * rq; j += 2 * rs) {
+                    acc = run(none, j, rs, HalfTag<1>{}, acc);
+                    acc = run(both, j + rs, rs, HalfTag<1>{}, acc);
+                }
+            }
+        }
+        return acc;
+    }
+}
+
+/**
+ * fn(K, kScale, kSum) with each a std::integral_constant, for the
+ * chain count, whether @p scale is set and what @p sums / @p qs ask.
+ */
+template <typename Fn>
+inline void
+dispatchIdle(std::size_t count, const IdleScale *scale, std::size_t qs,
+             const double *sums, const Fn &fn)
+{
+    const IdleSum sum = sums == nullptr ? IdleSum::None
+                        : qs == kNoBit  ? IdleSum::Every
+                        : qs == 0       ? IdleSum::Bit0
+                                        : IdleSum::Runs;
+    auto bySum = [&](auto k, auto scaled) {
+        switch (sum) {
+          case IdleSum::None:
+            if constexpr (decltype(scaled)::value)
+                fn(k, scaled,
+                   std::integral_constant<IdleSum, IdleSum::None>{});
+            return;
+          case IdleSum::Bit0:
+            fn(k, scaled, std::integral_constant<IdleSum, IdleSum::Bit0>{});
+            return;
+          case IdleSum::Runs:
+            fn(k, scaled, std::integral_constant<IdleSum, IdleSum::Runs>{});
+            return;
+          case IdleSum::Every:
+            fn(k, scaled,
+               std::integral_constant<IdleSum, IdleSum::Every>{});
+            return;
+        }
+    };
+    auto byScale = [&](auto k) {
+        if (scale != nullptr)
+            bySum(k, std::true_type{});
+        else
+            bySum(k, std::false_type{});
+    };
+    switch (count) {
+      case 1:
+        byScale(std::integral_constant<std::size_t, 1>{});
+        return;
+      case 2:
+        byScale(std::integral_constant<std::size_t, 2>{});
+        return;
+      case 3:
+        byScale(std::integral_constant<std::size_t, 3>{});
+        return;
+      default:
+        byScale(std::integral_constant<std::size_t, kIdleChains>{});
+        return;
+    }
+}
+
 } // namespace
 
 void
@@ -170,6 +323,84 @@ pairRangeAvx2(Complex *amps, std::size_t pb, std::size_t pe, std::size_t q,
             pairRangeScalar(amps, p + k, p + run, q, m);
         p += run;
     }
+}
+
+void
+idleChainsAvx2(Complex *const *chains, std::size_t count, std::size_t len,
+               std::size_t q, const IdleScale *scale, std::size_t qs,
+               double *sums)
+{
+    // noinline: each instantiation gets its own registers, so the
+    // loop keeps its sums in them rather than on the stack.
+    dispatchIdle(count, scale, qs, sums,
+                 [&](auto k, auto scaled, auto sum) __attribute__((noinline)) {
+        constexpr std::size_t K = decltype(k)::value;
+        constexpr bool kScale = decltype(scaled)::value;
+        double *p[K];
+        // f[b][k]: chain k's factors in a run whose scale bit is b.
+        __m256d f[2][K];
+        for (std::size_t c = 0; c < K; ++c) {
+            p[c] = reinterpret_cast<double *>(chains[c]);
+            if constexpr (kScale) {
+                const IdleScale &s = scale[c];
+                f[0][c] = q == 0 ? _mm256_setr_pd(s.f0, s.f0, s.f1, s.f1)
+                                 : _mm256_set1_pd(s.f0);
+                f[1][c] = _mm256_set1_pd(q == kNoBit ? s.f0 : s.f1);
+            }
+        }
+        const __m256d zero = _mm256_setzero_pd();
+        const __m256d acc = walkIdleRuns<kScale, decltype(sum)::value>(
+            len, q, qs, zero,
+            [&](auto terms, std::size_t i, std::size_t r, auto half,
+                __m256d a) __attribute__((always_inline)) {
+                constexpr IdleTerms kTerms = decltype(terms)::value;
+                const __m256d *fr = f[decltype(half)::value];
+                for (std::size_t j = 2 * i; j < 2 * (i + r); j += 4) {
+                    __m256d v[kIdleChains];
+#pragma GCC unroll 4
+                    for (std::size_t c = 0; c < kIdleChains; ++c) {
+                        if (c >= K) {
+                            v[c] = zero;
+                            continue;
+                        }
+                        v[c] = _mm256_loadu_pd(p[c] + j);
+                        if constexpr (kScale) {
+                            v[c] = _mm256_mul_pd(v[c], fr[c]);
+                            _mm256_storeu_pd(p[c] + j, v[c]);
+                        }
+                    }
+                    if constexpr (kTerms != IdleTerms::None) {
+                        // hadd of the squares: [lo0, lo1, hi0, hi1] and
+                        // [lo2, lo3, hi2, hi3], each re*re + im*im.
+                        const __m256d n01 = _mm256_hadd_pd(
+                            _mm256_mul_pd(v[0], v[0]),
+                            _mm256_mul_pd(v[1], v[1]));
+                        const __m256d n23 = _mm256_hadd_pd(
+                            _mm256_mul_pd(v[2], v[2]),
+                            _mm256_mul_pd(v[3], v[3]));
+                        if constexpr (kTerms == IdleTerms::Both)
+                            a = _mm256_add_pd(
+                                a, _mm256_permute2f128_pd(n01, n23, 0x20));
+                        a = _mm256_add_pd(
+                            a, _mm256_permute2f128_pd(n01, n23, 0x31));
+                    }
+                }
+                return a;
+            });
+        if (sums != nullptr) {
+            // Lane by lane: a store of the whole vector to a stack
+            // array makes GCC keep the sums in memory inside the loop.
+            const __m128d lo = _mm256_castpd256_pd128(acc);
+            const __m128d hi = _mm256_extractf128_pd(acc, 1);
+            _mm_storel_pd(sums, lo);
+            if constexpr (K > 1)
+                _mm_storeh_pd(sums + 1, lo);
+            if constexpr (K > 2)
+                _mm_storel_pd(sums + 2, hi);
+            if constexpr (K > 3)
+                _mm_storeh_pd(sums + 3, hi);
+        }
+    });
 }
 
 void

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -129,112 +130,163 @@ namespace {
 
 using dense::forPairRuns;
 
-/** Independent add chains one P(1) sweep advances side by side. */
-constexpr std::size_t kChains = 4;
+/** Chains whose partial sums idlePass keeps on the stack. */
+constexpr std::size_t kStackChains = 64;
 
 /**
- * sums[k] = sum of |amp|^2 over chain[k][i] for i in the runs
- * [r, r + run), r = first, first + period, ... < len. Every chain
- * starts from 0.0 and adds its own terms in ascending index order;
- * the K chains only share the loop, so their adds overlap instead of
- * each waiting on the one before.
+ * The idle walker over @p lanes lanes of 2^n. With @p events, lane l's
+ * qubit q takes events[l] (see Relaxation); with @p p1, the same pass
+ * then sets p1[l] = P(qubit qs = 1) of lane l. Returns false, walking
+ * nothing, when every event is a no-op.
+ *
+ * A lane's P(1) sums its kReduceGrain chunks, each a chain of adds
+ * from 0.0 over its bit-qs-set amplitudes in ascending order, and
+ * folds them in chunk order from 0.0 as reduceChunked does: the value
+ * depends only on the lane's amplitudes, not on how many lanes share
+ * the buffer, which lanes relax, or the dispatch. Serial walks run the
+ * chains kIdleChains at a time, so their adds overlap; a parallel
+ * dispatch gives each chain its own task.
+ *
+ * Decay and a bare dephasing flip are real scales, dephasing folded
+ * into the |1> factor (x * -k rounds to exactly -(x * k)). A jump
+ * moves amplitudes between the halves, so it runs first, lane by lane,
+ * and its chains are then only summed.
  */
-template <std::size_t K>
-void
-sumChains(const Complex *const *chain, std::size_t first, std::size_t run,
-          std::size_t period, std::size_t len, double *sums)
+bool
+idlePass(Complex *amps, std::size_t n, std::size_t lanes, std::size_t q,
+         const Relaxation *events, std::size_t qs, double *p1)
 {
-    double acc[K] = {};
-    for (std::size_t r = first; r < len; r += period) {
-        for (std::size_t i = r; i < r + run; ++i) {
-            // Unrolled so the K sums stay in registers; rolled, GCC
-            // keeps them in memory and the chains serialise again.
-#pragma GCC unroll 4
-            for (std::size_t k = 0; k < K; ++k)
-                acc[k] += std::norm(chain[k][i]);
-        }
-    }
-    for (std::size_t k = 0; k < K; ++k)
-        sums[k] = acc[k];
-}
-
-/**
- * out[l] = P(qubit q = 1) of each of @p lanes lanes of 2^n. Each lane
- * sums kReduceGrain chunks and folds them in chunk order from 0.0, as
- * reduceChunked does, so a lane's sum does not depend on how many
- * lanes share the buffer. The (lane, chunk) sums are independent
- * chains: they run kChains at a time through sumChains, and a chunk
- * with bit q clear throughout is 0.0 without a pass.
- */
-void
-laneProbabilities(const Complex *amps, std::size_t n, std::size_t lanes,
-                  std::size_t q, double *out)
-{
+    if (events != nullptr &&
+        std::all_of(events, events + lanes,
+                    [](const Relaxation &ev) { return ev.idle(); }))
+        return false;
     const std::size_t dim = std::size_t{1} << n;
     const std::size_t len = std::min(dim, kernels::kReduceGrain);
+    const std::size_t bits = static_cast<std::size_t>(__builtin_ctzll(len));
     const std::size_t chunks = dim / len;
-    const std::size_t stride = std::size_t{1} << q;
-    // Chain c covers amplitudes [c * len, (c + 1) * len): chunk
-    // c % chunks of lane c / chunks. Below the chunk size every chain
-    // holds the same bit-q runs; from it up a chain is all set or all
-    // clear, and the j-th set chain is j with bit q - log2(len) set.
-    const bool split = stride < len;
-    const std::size_t first = split ? stride : 0;
-    const std::size_t run = split ? stride : len;
-    const std::size_t period = split ? 2 * stride : len;
     const std::size_t chains = lanes * chunks;
-    const std::size_t live = split ? chains : chains / 2;
-    const std::size_t shift =
-        split ? 0 : q - static_cast<std::size_t>(__builtin_ctzll(len));
-    auto chainOf = [&](std::size_t j) {
-        return split ? j : dense::expand1(j, shift) | (std::size_t{1} << shift);
-    };
-    std::vector<double> partials;
-    double *sums = out;
-    if (chunks > 1) {
-        partials.assign(chains, 0.0);
-        sums = partials.data();
-    }
-    auto group = [&](std::size_t g) {
-        const Complex *chain[kChains];
-        const std::size_t j0 = g * kChains;
-        const std::size_t count = std::min(kChains, live - j0);
-        for (std::size_t k = 0; k < count; ++k)
-            chain[k] = amps + chainOf(j0 + k) * len;
-        double got[kChains];
-        switch (count) {
-          case 4:
-            sumChains<4>(chain, first, run, period, len, got);
-            break;
-          case 3:
-            sumChains<3>(chain, first, run, period, len, got);
-            break;
-          case 2:
-            sumChains<2>(chain, first, run, period, len, got);
-            break;
-          default:
-            sumChains<1>(chain, first, run, period, len, got);
-            break;
+    // From log2(len) up a bit is constant over a chain: it scales a
+    // chain by one factor, and sums all or none of it.
+    const std::size_t chainQ = q < bits ? q : kernels::kNoBit;
+    const std::size_t chainQs = qs < bits ? qs : kernels::kNoBit;
+    if (events != nullptr) {
+        for (std::size_t l = 0; l < lanes; ++l) {
+            const Relaxation &ev = events[l];
+            if (ev.damping == Relaxation::Damping::Jump)
+                kernels::jumpRange(amps, l * dim / 2, (l + 1) * dim / 2, q,
+                                   ev.keep1, ev.dephase);
         }
-        for (std::size_t k = 0; k < count; ++k)
-            sums[chainOf(j0 + k)] = got[k];
+    }
+    double stack[kStackChains];
+    std::vector<double> heap;
+    double *partial = p1;
+    if (p1 != nullptr && chunks > 1) {
+        if (chains > kStackChains)
+            heap.resize(chains);
+        partial = chains > kStackChains ? heap.data() : stack;
+    }
+
+    /** What the pass does to chain c: its scale, if any, and its sum. */
+    struct Work
+    {
+        bool scaled = false;
+        bool summed = false;
+        kernels::IdleScale scale;
     };
-    const std::size_t groups = (live + kChains - 1) / kChains;
-    if (chunks == 1) {
-        // One chunk per lane: each lane's sum is that chunk, computed
-        // in place as reduceChunked computes a single chunk.
-        for (std::size_t g = 0; g < groups; ++g)
-            group(g);
-        return;
+    auto work = [&](std::size_t c) {
+        Work w;
+        const std::size_t chunk = c % chunks;
+        if (p1 != nullptr) {
+            w.summed = chainQs != kernels::kNoBit ||
+                       ((chunk >> (qs - bits)) & 1) != 0;
+            if (!w.summed)
+                partial[c] = 0.0;
+        }
+        if (events == nullptr)
+            return w;
+        const Relaxation &ev = events[c / chunks];
+        if (ev.damping == Relaxation::Damping::Jump || ev.idle())
+            return w;
+        const bool decay = ev.damping == Relaxation::Damping::Decay;
+        w.scale.f0 = decay ? ev.keep0 : 1.0;
+        w.scale.f1 = decay ? ev.keep1 : 1.0;
+        if (ev.dephase)
+            w.scale.f1 = -w.scale.f1;
+        if (chainQ == kernels::kNoBit && ((chunk >> (q - bits)) & 1) != 0)
+            w.scale.f0 = w.scale.f1;
+        // x * 1.0 is x: a chain scaled by 1.0 throughout is only read.
+        w.scaled = w.scale.f0 != 1.0 ||
+                   (chainQ != kernels::kNoBit && w.scale.f1 != 1.0);
+        return w;
+    };
+    // Run up to kIdleChains chains that share one kind of work.
+    auto walk = [&](const std::size_t *ids, const Work *ws,
+                    std::size_t count) {
+        Complex *ptrs[kernels::kIdleChains];
+        kernels::IdleScale scales[kernels::kIdleChains];
+        double sums[kernels::kIdleChains];
+        for (std::size_t k = 0; k < count; ++k) {
+            ptrs[k] = amps + ids[k] * len;
+            scales[k] = ws[k].scale;
+        }
+        kernels::idleChains(ptrs, count, len, chainQ,
+                            ws[0].scaled ? scales : nullptr, chainQs,
+                            ws[0].summed ? sums : nullptr);
+        if (ws[0].summed) {
+            for (std::size_t k = 0; k < count; ++k)
+                partial[ids[k]] = sums[k];
+        }
+    };
+    auto serial = [&](std::size_t) {
+        // Pending groups by kind: scaled and summed, scaled, summed.
+        std::size_t ids[3][kernels::kIdleChains];
+        Work ws[3][kernels::kIdleChains];
+        std::size_t fill[3] = {};
+        for (std::size_t c = 0; c < chains; ++c) {
+            const Work w = work(c);
+            if (!w.scaled && !w.summed)
+                continue;
+            const std::size_t g = w.scaled ? (w.summed ? 0 : 1) : 2;
+            ids[g][fill[g]] = c;
+            ws[g][fill[g]] = w;
+            if (++fill[g] == kernels::kIdleChains) {
+                walk(ids[g], ws[g], fill[g]);
+                fill[g] = 0;
+            }
+        }
+        for (std::size_t g = 0; g < 3; ++g) {
+            if (fill[g] > 0)
+                walk(ids[g], ws[g], fill[g]);
+        }
+    };
+    // A relax touches every amplitude; a P(1) alone reads half of them.
+    const std::size_t elements =
+        events != nullptr ? lanes << n : (lanes << n) / 2;
+    auto single = [&](std::size_t c) {
+        const Work w = work(c);
+        if (w.scaled || w.summed)
+            walk(&c, &w, 1);
+    };
+    // std::ref keeps each std::function in its small buffer: no
+    // allocation per pass.
+    if (events == nullptr && chunks == 1) {
+        // One chunk per lane: computed in place, as reduceChunked
+        // computes a single chunk, with no dispatch.
+        serial(0);
+    } else if (kernels::detail::dispatchJobs(chains, elements) <= 1) {
+        kernels::detail::dispatchChunks(1, elements, std::ref(serial));
+    } else {
+        kernels::detail::dispatchChunks(chains, elements, std::ref(single));
     }
-    // P(1) reads the bit-set half of each lane: that is its cost.
-    kernels::detail::dispatchChunks(groups, (lanes << n) / 2, group);
-    for (std::size_t l = 0; l < lanes; ++l) {
-        double total = 0.0;
-        for (std::size_t c = 0; c < chunks; ++c)
-            total += partials[l * chunks + c];
-        out[l] = total;
+    if (p1 != nullptr && chunks > 1) {
+        for (std::size_t l = 0; l < lanes; ++l) {
+            double total = 0.0;
+            for (std::size_t c = 0; c < chunks; ++c)
+                total += partial[l * chunks + c];
+            p1[l] = total;
+        }
     }
+    return true;
 }
 
 /** measure()'s renormalisation after drawing @p outcome from @p p1. */
@@ -269,43 +321,6 @@ collapseKernel(Complex *amps, std::size_t n, std::size_t lanes,
                     keep[k] *= scale;
                 for (std::size_t k = 0; k < run; ++k)
                     drop[k] = 0.0;
-            });
-        });
-}
-
-/** Apply events[l] to qubit q of lane l (see Relaxation). */
-void
-relaxKernel(Complex *amps, std::size_t n, std::size_t lanes,
-            std::size_t q, const Relaxation *events)
-{
-    const std::size_t size = lanes << n;
-    const std::size_t stride = std::size_t{1} << q;
-    kernels::forEachRange(
-        size / 2, size, [&](std::size_t pb, std::size_t pe) {
-            forPairRuns(pb, pe, q, [&](std::size_t i0, std::size_t run) {
-                const Relaxation &ev = events[i0 >> n];
-                Complex *zero = amps + i0;
-                Complex *one = zero + stride;
-                switch (ev.damping) {
-                  case Relaxation::Damping::Jump:
-                    for (std::size_t k = 0; k < run; ++k) {
-                        zero[k] = one[k] * ev.keep1;
-                        one[k] = 0.0;
-                    }
-                    break;
-                  case Relaxation::Damping::Decay:
-                    for (std::size_t k = 0; k < run; ++k)
-                        zero[k] *= ev.keep0;
-                    for (std::size_t k = 0; k < run; ++k)
-                        one[k] *= ev.keep1;
-                    break;
-                  case Relaxation::Damping::None:
-                    break;
-                }
-                if (ev.dephase) {
-                    for (std::size_t k = 0; k < run; ++k)
-                        one[k] = -one[k];
-                }
             });
         });
 }
@@ -423,7 +438,9 @@ StateVector::probabilityOfOne(std::size_t q) const
 {
     checkQubit(q);
     double p1 = 0.0;
-    laneProbabilities(amps_.data(), numQubits_, 1, q, &p1);
+    // A pass without events only reads the amplitudes.
+    idlePass(const_cast<Complex *>(amps_.data()), numQubits_, 1, q, nullptr,
+             q, &p1);
     return p1;
 }
 
@@ -525,7 +542,9 @@ StateLanes::probabilitiesOfOne(std::size_t q,
 {
     checkQubitIndex(q, numQubits_);
     out.resize(lanes_);
-    laneProbabilities(amps_.data(), numQubits_, lanes_, q, out.data());
+    // A pass without events only reads the amplitudes.
+    idlePass(const_cast<Complex *>(amps_.data()), numQubits_, lanes_, q,
+             nullptr, q, out.data());
 }
 
 void
@@ -544,10 +563,19 @@ void
 StateLanes::relax(std::size_t q, const std::vector<Relaxation> &events)
 {
     checkQubitIndex(q, numQubits_);
-    if (std::all_of(events.begin(), events.begin() + lanes_,
-                    [](const Relaxation &ev) { return ev.idle(); }))
-        return;
-    relaxKernel(amps_.data(), numQubits_, lanes_, q, events.data());
+    idlePass(amps_.data(), numQubits_, lanes_, q, events.data(), q,
+             nullptr);
+}
+
+bool
+StateLanes::relax(std::size_t q, const std::vector<Relaxation> &events,
+                  std::size_t next, std::vector<double> &p1)
+{
+    checkQubitIndex(q, numQubits_);
+    checkQubitIndex(next, numQubits_);
+    p1.resize(lanes_);
+    return idlePass(amps_.data(), numQubits_, lanes_, q, events.data(), next,
+                    p1.data());
 }
 
 std::size_t

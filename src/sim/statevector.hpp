@@ -185,6 +185,16 @@ class StateLanes
     /** Apply events[l] to qubit q of lane l. */
     void relax(std::size_t q, const std::vector<Relaxation> &events);
 
+    /**
+     * relax(q, events), and in the same pass p1[l] = probability that
+     * qubit @p next of lane l reads 1 afterwards, bit-equal to
+     * probabilitiesOfOne(next) after the relax. Returns false, walking
+     * nothing and leaving the values of @p p1 alone, when every event
+     * is a no-op.
+     */
+    bool relax(std::size_t q, const std::vector<Relaxation> &events,
+               std::size_t next, std::vector<double> &p1);
+
     /** StateVector::sampleBasisState on lane @p lane. */
     std::size_t sampleBasisState(std::size_t lane, stats::Rng &rng) const;
 

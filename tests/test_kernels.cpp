@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -450,12 +451,13 @@ TEST(KernelSimd, Avx2MatchesScalarBitwise)
 
 namespace {
 
-/** FNV-1a over @p size bytes. */
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
+/** FNV-1a over @p size bytes, continuing from @p hash. */
 std::uint64_t
-fnv1a(const void *data, std::size_t size)
+fnv1a(const void *data, std::size_t size, std::uint64_t hash = kFnvBasis)
 {
     const auto *bytes = static_cast<const unsigned char *>(data);
-    std::uint64_t hash = 0xcbf29ce484222325ull;
     for (std::size_t i = 0; i < size; ++i) {
         hash ^= bytes[i];
         hash *= 0x100000001b3ull;
@@ -727,6 +729,217 @@ TEST(KernelPinned, StateVectorMatchesRecordedBits)
                             sv.amplitudes().size() * sizeof(sim::Complex)),
                       p.hash)
                 << "fused, width " << p.n;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Idle passes: relaxation and P(1) at every stride
+// ---------------------------------------------------------------------
+
+namespace {
+
+/**
+ * Per-lane RY rotations on every qubit, then a cx ladder: distinct,
+ * entangled lanes. @p salt varies the angles from call to call.
+ */
+void
+mixLanes(sim::StateLanes &state, std::size_t n, std::size_t lanes,
+         std::size_t salt)
+{
+    std::vector<sim::Matrix2> rotations(lanes);
+    std::vector<const sim::Matrix2 *> per_lane(lanes);
+    for (std::size_t q = 0; q < n; ++q) {
+        for (std::size_t l = 0; l < lanes; ++l) {
+            const double angle = 0.3 + 0.17 * static_cast<double>(l) +
+                                 0.05 * static_cast<double>(q) +
+                                 0.4 * static_cast<double>(salt);
+            rotations[l] =
+                sim::gateMatrix1(qc::Gate(qc::GateType::RY, {0}, {angle}));
+            per_lane[l] = &rotations[l];
+        }
+        state.applyPerLane(q, per_lane);
+    }
+    for (std::size_t q = 0; q + 1 < n; ++q)
+        state.applyGate(qc::Gate(qc::GateType::CX,
+                                 {static_cast<qc::Qubit>(q),
+                                  static_cast<qc::Qubit>(q + 1)}));
+}
+
+/**
+ * One idle event per lane: None, Decay or Jump by (l + salt) % 3, and
+ * dephasing by ((l + salt) / 3) % 2, so six consecutive salts give
+ * every lane every kind with and without dephasing.
+ */
+std::vector<sim::Relaxation>
+idleEvents(std::size_t lanes, std::size_t salt)
+{
+    std::vector<sim::Relaxation> events(lanes);
+    for (std::size_t l = 0; l < lanes; ++l) {
+        sim::Relaxation &ev = events[l];
+        const double x = static_cast<double>(l);
+        switch ((l + salt) % 3) {
+          case 0:
+            break;
+          case 1:
+            ev.damping = sim::Relaxation::Damping::Decay;
+            ev.keep0 = 1.0 + 0.01 * (x + 1.0);
+            ev.keep1 = 0.9 - 0.01 * x;
+            break;
+          default:
+            ev.damping = sim::Relaxation::Damping::Jump;
+            ev.keep1 = 1.5 + 0.1 * x;
+            break;
+        }
+        ev.dephase = ((l + salt) / 3) % 2 == 1;
+    }
+    return events;
+}
+
+/**
+ * FNV-1a of @p lanes lanes of width @p n through six sweeps of one
+ * relaxation per qubit (idleEvents(lanes, q + sweep)), each sweep
+ * after a fresh mixLanes, and first one batch whose events are all
+ * no-ops. After each relax it hashes the amplitudes, then every other
+ * qubit's per-lane P(1), as raw bits.
+ */
+std::uint64_t
+idlePassHash(std::size_t n, std::size_t lanes)
+{
+    sim::StateLanes state(n, lanes);
+    state.resetToZero(lanes);
+    std::uint64_t hash = kFnvBasis;
+    std::vector<double> p1;
+    auto absorb = [&](std::size_t q) {
+        const std::vector<sim::Complex> &amps = state.amplitudes();
+        hash = fnv1a(amps.data(), amps.size() * sizeof(sim::Complex), hash);
+        for (std::size_t other = 0; other < n; ++other) {
+            if (other == q)
+                continue;
+            state.probabilitiesOfOne(other, p1);
+            hash = fnv1a(p1.data(), p1.size() * sizeof(double), hash);
+        }
+    };
+    mixLanes(state, n, lanes, 0);
+    state.relax(0, std::vector<sim::Relaxation>(lanes));
+    absorb(0);
+    for (std::size_t sweep = 0; sweep < 6; ++sweep) {
+        if (sweep > 0)
+            mixLanes(state, n, lanes, sweep);
+        for (std::size_t q = 0; q < n; ++q) {
+            state.relax(q, idleEvents(lanes, q + sweep));
+            absorb(q);
+        }
+    }
+    return hash;
+}
+
+/** The two lane shapes of the trajectory grid's widest cells. */
+struct LaneShape
+{
+    std::size_t n;
+    std::size_t lanes;
+};
+constexpr LaneShape kIdleShapes[] = {{16, 1}, {11, 8}};
+
+} // namespace
+
+TEST(KernelPinned, IdlePassesMatchRecordedBits)
+{
+    // Values recorded from the per-run relax kernel and the separate
+    // P(1) pass, before one idle walker replaced both: width 16 is one
+    // lane of four reduce chunks, so qubits 14 and 15 scale and sum
+    // whole chunks; width 11 is eight one-chunk lanes. Pinned for
+    // x86-64 glibc only (RY's sin/cos), as the other pins are.
+#if !defined(__x86_64__) || !defined(__GLIBC__)
+    GTEST_SKIP() << "bits pinned for x86-64 glibc builds only";
+#endif
+    const std::uint64_t pinned[] = {0x525d30f2175be314ull,
+                                    0x5037fd87c8daac30ull};
+    kernels::KernelConfigGuard guard;
+    std::vector<kernels::SimdMode> modes = {kernels::SimdMode::Scalar};
+    if (kernels::avx2Supported())
+        modes.push_back(kernels::SimdMode::Avx2);
+    for (kernels::SimdMode mode : modes) {
+        kernels::setSimdMode(mode);
+        SCOPED_TRACE(kernels::usingAvx2() ? "avx2" : "scalar");
+        for (std::size_t i = 0; i < std::size(kIdleShapes); ++i) {
+            const LaneShape &shape = kIdleShapes[i];
+            EXPECT_EQ(idlePassHash(shape.n, shape.lanes), pinned[i])
+                << "width " << shape.n << " x " << shape.lanes;
+        }
+    }
+}
+
+TEST(KernelIdentity, FusedIdlePassSumsTheStandaloneP1)
+{
+    // relax(q, events, next, p1) must leave the amplitudes of
+    // relax(q, events) and sum probabilitiesOfOne(next) bit for bit,
+    // for every (q, next) pair, whichever dispatch and SIMD path runs.
+    struct Mode
+    {
+        const char *name;
+        std::size_t jobs;
+        std::size_t threshold;
+        bool force;
+        kernels::SimdMode simd;
+    };
+    const Mode modes[] = {
+        {"serial", 1, std::size_t{1} << 16, false, kernels::SimdMode::Auto},
+        {"forced-parallel", 4, 1, true, kernels::SimdMode::Auto},
+        {"scalar", 1, std::size_t{1} << 16, false, kernels::SimdMode::Scalar},
+    };
+    for (const Mode &mode : modes) {
+        kernels::KernelConfigGuard guard;
+        kernels::setKernelJobs(mode.jobs);
+        kernels::setKernelThreshold(mode.threshold);
+        kernels::setForceParallel(mode.force);
+        kernels::setSimdMode(mode.simd);
+        for (const LaneShape &shape : kIdleShapes) {
+            SCOPED_TRACE(std::string(mode.name) + ", width " +
+                         std::to_string(shape.n) + " x " +
+                         std::to_string(shape.lanes));
+            sim::StateLanes base(shape.n, shape.lanes);
+            std::vector<double> summed, standalone;
+            std::size_t nonzero = 0;
+            for (std::size_t q = 0; q < shape.n; ++q) {
+                // Each pair starts from the same mixed state: a second
+                // jump on q would copy its zeroed |1> half over the
+                // |0> half and leave nothing to sum.
+                base.resetToZero(shape.lanes);
+                mixLanes(base, shape.n, shape.lanes, q);
+                for (std::size_t next = 0; next < shape.n; ++next) {
+                    sim::StateLanes fused = base;
+                    sim::StateLanes split = base;
+                    const auto events = idleEvents(shape.lanes, q + next);
+                    const bool busy = std::any_of(
+                        events.begin(), events.end(),
+                        [](const sim::Relaxation &ev) { return !ev.idle(); });
+                    // With no event to apply nothing is walked, and the
+                    // next step sums its own P(1), as LaneBatch does.
+                    EXPECT_EQ(fused.relax(q, events, next, summed), busy);
+                    if (!busy)
+                        fused.probabilitiesOfOne(next, summed);
+                    split.relax(q, events);
+                    split.probabilitiesOfOne(next, standalone);
+                    ASSERT_EQ(summed.size(), standalone.size());
+                    for (std::size_t l = 0; l < shape.lanes; ++l) {
+                        EXPECT_TRUE(bitEqual(summed[l], standalone[l]))
+                            << "relax " << q << ", P(1) of " << next
+                            << ", lane " << l;
+                        nonzero += standalone[l] > 0.0;
+                    }
+                    expectBitIdentical(fused.amplitudes(), split.amplitudes(),
+                                       "fused vs split relax");
+                }
+            }
+            // Only a jump on the summed qubit itself leaves P(1) = 0.
+            EXPECT_GE(nonzero, shape.n * (shape.n - 1) * shape.lanes);
+            // Every event a no-op: nothing is walked, p1 is left alone.
+            summed.assign(shape.lanes, -1.0);
+            EXPECT_FALSE(base.relax(
+                0, std::vector<sim::Relaxation>(shape.lanes), 1, summed));
+            EXPECT_EQ(summed, std::vector<double>(shape.lanes, -1.0));
         }
     }
 }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <ostream>
 
 #include "qc/pauli.hpp"
 #include "stats/rng.hpp"
@@ -125,6 +126,15 @@ struct ConjCase
     GateType type;
     std::size_t arity;
 };
+
+// gtest appends the printed parameter to each case's listed name; its
+// default dump of the struct's bytes includes the padding after type,
+// which differs from build to build.
+void
+PrintTo(const ConjCase &c, std::ostream *os)
+{
+    *os << gateName(c.type) << ' ' << c.arity << 'q';
+}
 
 class PauliConjugation : public ::testing::TestWithParam<ConjCase>
 {

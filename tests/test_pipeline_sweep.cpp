@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "device/device.hpp"
 #include "qc/library.hpp"
 #include "sim/statevector.hpp"
@@ -25,6 +27,15 @@ struct SweepCase
     const char *kernel;
     const char *device;
 };
+
+// gtest appends the printed parameter to each case's listed name; its
+// default dump of the struct's bytes would show the two pointers, and
+// the name would change from build to build.
+void
+PrintTo(const SweepCase &c, std::ostream *os)
+{
+    *os << c.kernel << " on " << c.device;
+}
 
 qc::Circuit
 makeKernel(const std::string &name)
