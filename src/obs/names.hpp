@@ -73,6 +73,14 @@ inline constexpr const char *kSimKernelSimdAvx2 = "sim.kernel.simd_avx2";
 inline constexpr const char *kSimKernelSimdScalar =
     "sim.kernel.simd_scalar";
 
+// --- counters: trajectory lanes' liveness blocks (sim/statevector.cpp)
+// Added once per lane operation: the 64-amplitude blocks its kernels
+// ran on, and those of its lanes it left alone as all zero.
+inline constexpr const char *kSimLanesBlocksWalked =
+    "sim.lanes.blocks_walked";
+inline constexpr const char *kSimLanesBlocksSkipped =
+    "sim.lanes.blocks_skipped";
+
 // --- counters: thread pool -------------------------------------------
 inline constexpr const char *kPoolBatches = "pool.batches";
 inline constexpr const char *kPoolTasksRun = "pool.tasks.run";

@@ -120,6 +120,8 @@ idleScalar(Complex *const *chains, std::size_t len, std::size_t q,
     if (sumRuns)
         r = std::min(r, std::size_t{1} << qs);
     double acc[K] = {};
+    if constexpr (kSum)
+        std::copy(sums, sums + K, acc);
     // One run's pairs: each chain's factors for the low and high
     // amplitude, and whether the run adds to the sums.
     auto pairs = [&](std::size_t i, const double *flo, const double *fhi,

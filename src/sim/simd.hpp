@@ -85,22 +85,25 @@ struct IdleScale
 };
 
 /**
- * The idle walker: @p count <= kIdleChains chains of @p len amplitudes
- * (a power of two, at least 2), chain k at @p chains[k], walked side
- * by side, each in ascending index order.
+ * The idle walker: @p count <= kIdleChains chains of @p len amplitudes,
+ * chain k at @p chains[k], walked side by side, each in ascending index
+ * order.
  *
  *  - With @p scale, amplitude i of chain k becomes a_i * scale[k].f0
  *    when bit @p q of i is clear and a_i * scale[k].f1 when it is set;
  *    q == kNoBit scales the whole chain by f0.
- *  - With @p sums, sums[k] is the sum of |a_i|^2 (after the scale)
- *    over the amplitudes i of chain k with bit @p qs set, each
- *    std::norm(a_i) added to 0.0 in ascending order of i; qs == kNoBit
- *    sums every amplitude. Each chain is its own sequence of adds, so
- *    sums[k] does not depend on the other chains, on @p count or on
- *    whether the pass also scales.
+ *  - With @p sums, each |a_i|^2 (after the scale) over the amplitudes
+ *    i of chain k with bit @p qs set is added to sums[k], from its
+ *    value on entry, in ascending order of i; qs == kNoBit sums every
+ *    amplitude. Each chain is its own sequence of adds, so sums[k]
+ *    does not depend on the other chains, on @p count or on whether
+ *    the pass also scales, and a chain split into consecutive calls
+ *    sums exactly as one call over the whole of it.
  *
- * Bits other than kNoBit are below log2(len). One of @p scale and
- * @p sums is non-null. A sum-only walk reads only the bit-qs-set runs.
+ * @p len is even, and a multiple of 2^(b + 1) for each bit b of @p q
+ * and @p qs that is not kNoBit; bits count from each chain's start.
+ * One of @p scale and @p sums is non-null. A sum-only walk reads only
+ * the bit-qs-set runs.
  */
 void idleChains(Complex *const *chains, std::size_t count, std::size_t len,
                 std::size_t q, const IdleScale *scale, std::size_t qs,

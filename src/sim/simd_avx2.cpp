@@ -19,8 +19,9 @@
  *
  * The idle walker holds one pair per vector too, so a stride-1 scale
  * is one multiply by [f0, f0, f1, f1]. Its sums keep the four chains'
- * accumulators in the four lanes of one vector: lane k adds chain k's
- * terms in the scalar order, and the chains' adds run side by side.
+ * accumulators in the four lanes of one vector: lane k starts from
+ * chain k's incoming sum and adds its terms in the scalar order, and
+ * the chains' adds run side by side.
  */
 
 #include <immintrin.h>
@@ -349,8 +350,15 @@ idleChainsAvx2(Complex *const *chains, std::size_t count, std::size_t len,
             }
         }
         const __m256d zero = _mm256_setzero_pd();
+        // Lane k starts from sums[k]; the lanes past K stay 0.
+        __m256d start = zero;
+        if (sums != nullptr) {
+            double in[kIdleChains] = {};
+            std::copy(sums, sums + K, in);
+            start = _mm256_loadu_pd(in);
+        }
         const __m256d acc = walkIdleRuns<kScale, decltype(sum)::value>(
-            len, q, qs, zero,
+            len, q, qs, start,
             [&](auto terms, std::size_t i, std::size_t r, auto half,
                 __m256d a) __attribute__((always_inline)) {
                 constexpr IdleTerms kTerms = decltype(terms)::value;

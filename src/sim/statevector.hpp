@@ -144,6 +144,15 @@ struct Relaxation
  *
  * Per-lane arguments are indexed by lane and hold an entry for every
  * active lane.
+ *
+ * Each block of 2^min(n, 6) amplitudes (never two lanes' worth) has a
+ * liveness flag, set whenever the block may hold a nonzero amplitude;
+ * a clear flag means every amplitude of the block is zero. The kernels
+ * walk only the pair / quad groups that hold a live block, so a lane
+ * that stays near a basis state costs a few blocks per step. Every
+ * nonzero amplitude, P(1) and sample is bit-equal to a walk of every
+ * amplitude; only the sign of a zero in a skipped block may differ
+ * (DESIGN.md §13).
  */
 class StateLanes
 {
@@ -202,6 +211,9 @@ class StateLanes
     std::size_t numQubits_;
     std::size_t lanes_ = 0;
     std::vector<Complex> amps_;
+    /** live_[k]: block k (amplitudes [k << b, (k + 1) << b)) is live. */
+    std::vector<unsigned char> live_;
+    std::vector<double> scales_; ///< collapse's per-lane scales
 };
 
 /**

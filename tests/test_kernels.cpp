@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <complex>
 #include <cstdint>
 #include <cstdio>
@@ -32,6 +33,7 @@
 #include "sim/density_matrix.hpp"
 #include "sim/fusion.hpp"
 #include "sim/kernels.hpp"
+#include "sim/simd.hpp"
 #include "sim/stabilizer.hpp"
 #include "sim/statevector.hpp"
 #include "stats/rng.hpp"
@@ -942,6 +944,383 @@ TEST(KernelIdentity, FusedIdlePassSumsTheStandaloneP1)
             EXPECT_EQ(summed, std::vector<double>(shape.lanes, -1.0));
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Liveness blocks: the lane walk against a dense reference
+// ---------------------------------------------------------------------
+
+namespace {
+
+/**
+ * A plain dense copy of StateLanes: every kernel runs over every
+ * amplitude. Gates go through pairRange / quadRange over the whole
+ * range, everything else through plain loops.
+ */
+struct DenseLanes
+{
+    std::size_t n = 0;
+    std::size_t lanes = 0;
+    std::vector<sim::Complex> amps;
+
+    std::size_t dim() const { return std::size_t{1} << n; }
+
+    void
+    reset(std::size_t active)
+    {
+        lanes = active;
+        std::fill(amps.begin(), amps.end(), sim::Complex{});
+        for (std::size_t l = 0; l < lanes; ++l)
+            amps[l * dim()] = 1.0;
+    }
+
+    void
+    gate(const qc::Gate &g)
+    {
+        const std::size_t size = lanes * dim();
+        if (g.qubits.size() == 1) {
+            kernels::pairRange(amps.data(), 0, size / 2, g.qubits[0],
+                               sim::gateMatrix1(g));
+        } else if (g.qubits.size() == 2) {
+            kernels::quadRange(amps.data(), 0, size / 4, g.qubits[0],
+                               g.qubits[1], sim::gateMatrix2(g));
+        } else {
+            // CCX: swap the c0 = c1 = 1 pairs of the target.
+            const std::size_t c0 = std::size_t{1} << g.qubits[0];
+            const std::size_t c1 = std::size_t{1} << g.qubits[1];
+            const std::size_t t = std::size_t{1} << g.qubits[2];
+            for (std::size_t i = 0; i < size; ++i) {
+                if ((i & c0) && (i & c1) && !(i & t))
+                    std::swap(amps[i], amps[i | t]);
+            }
+        }
+    }
+
+    void
+    perLane(std::size_t q, const std::vector<const sim::Matrix2 *> &m)
+    {
+        const std::size_t half = dim() / 2;
+        for (std::size_t l = 0; l < lanes; ++l) {
+            if (m[l] != nullptr)
+                kernels::pairRange(amps.data(), l * half, (l + 1) * half, q,
+                                   *m[l]);
+        }
+    }
+
+    void
+    relax(std::size_t q, const std::vector<sim::Relaxation> &events)
+    {
+        const std::size_t bit = std::size_t{1} << q;
+        for (std::size_t l = 0; l < lanes; ++l) {
+            const sim::Relaxation &ev = events[l];
+            double *a = reinterpret_cast<double *>(amps.data() + l * dim());
+            for (std::size_t i = 0; i < dim(); ++i) {
+                if (ev.damping == sim::Relaxation::Damping::Jump) {
+                    if (i & bit)
+                        continue;
+                    a[2 * i] = a[2 * (i | bit)] * ev.keep1;
+                    a[2 * i + 1] = a[2 * (i | bit) + 1] * ev.keep1;
+                    a[2 * (i | bit)] = ev.dephase ? -0.0 : 0.0;
+                    a[2 * (i | bit) + 1] = ev.dephase ? -0.0 : 0.0;
+                    continue;
+                }
+                const bool decay =
+                    ev.damping == sim::Relaxation::Damping::Decay;
+                double f = (i & bit) ? (decay ? ev.keep1 : 1.0)
+                                     : (decay ? ev.keep0 : 1.0);
+                if ((i & bit) && ev.dephase)
+                    f = -f;
+                a[2 * i] *= f;
+                a[2 * i + 1] *= f;
+            }
+        }
+    }
+
+    /** Each lane's P(1) of qubit q: plain chain sums, chunk by chunk. */
+    std::vector<double>
+    p1(std::size_t q) const
+    {
+        std::vector<double> out(lanes);
+        for (std::size_t l = 0; l < lanes; ++l) {
+            const sim::Complex *lane = amps.data() + l * dim();
+            out[l] = kernels::reduceChunked<double>(
+                dim(), [&](std::size_t b, std::size_t e) {
+                    double sum = 0.0;
+                    for (std::size_t i = b; i < e; ++i) {
+                        if ((i >> q) & 1)
+                            sum += std::norm(lane[i]);
+                    }
+                    return sum;
+                });
+        }
+        return out;
+    }
+
+    void
+    collapse(std::size_t q, const std::vector<int> &outcomes,
+             const std::vector<double> &p1s)
+    {
+        const std::size_t bit = std::size_t{1} << q;
+        for (std::size_t l = 0; l < lanes; ++l) {
+            double keep = outcomes[l] ? p1s[l] : 1.0 - p1s[l];
+            if (keep <= 0.0)
+                keep = 1.0;
+            const double scale = 1.0 / std::sqrt(keep);
+            sim::Complex *lane = amps.data() + l * dim();
+            for (std::size_t i = 0; i < dim(); ++i) {
+                if (((i & bit) != 0) == (outcomes[l] == 1))
+                    lane[i] *= scale;
+                else
+                    lane[i] = 0.0;
+            }
+        }
+    }
+
+    std::size_t
+    sample(std::size_t lane, stats::Rng &rng) const
+    {
+        const double r = rng.uniform();
+        double acc = 0.0;
+        for (std::size_t i = 0; i < dim(); ++i) {
+            acc += std::norm(amps[lane * dim() + i]);
+            if (r < acc)
+                return i;
+        }
+        return dim() - 1;
+    }
+};
+
+/**
+ * Every nonzero double of the active lanes bit-equal to the
+ * reference's, and every zero equal as a value (its sign may differ in
+ * a block the walk skipped). Returns the first mismatch, or "".
+ */
+std::string
+compareLanes(const sim::StateLanes &lanes, const DenseLanes &ref)
+{
+    const double *got = reinterpret_cast<const double *>(
+        lanes.amplitudes().data());
+    const double *want = reinterpret_cast<const double *>(ref.amps.data());
+    for (std::size_t i = 0; i < 2 * ref.lanes * ref.dim(); ++i) {
+        const bool same = want[i] != 0.0 ? bitEqual(got[i], want[i])
+                                         : got[i] == 0.0;
+        if (!same) {
+            char text[96];
+            std::snprintf(text, sizeof(text), "double %zu: %a, want %a", i,
+                          got[i], want[i]);
+            return text;
+        }
+    }
+    return "";
+}
+
+/** One seeded lane program, checked against DenseLanes op by op. */
+void
+checkLaneProgram(std::size_t n, std::size_t max_lanes, std::uint64_t seed)
+{
+    stats::Rng rng(seed);
+    sim::StateLanes lanes(n, max_lanes);
+    DenseLanes ref{n, 0, std::vector<sim::Complex>(max_lanes << n)};
+    // A bit below, across or above the 64-amplitude block boundary.
+    auto qubit = [&](int kind) -> std::size_t {
+        const std::size_t split = std::min<std::size_t>(n, 6);
+        if (kind == 0 || split == n)
+            return rng.index(split);
+        return split + rng.index(n - split);
+    };
+    const qc::GateType oneQ[] = {qc::GateType::H,  qc::GateType::X,
+                                 qc::GateType::SX, qc::GateType::RY,
+                                 qc::GateType::RZ, qc::GateType::T};
+    const qc::GateType twoQ[] = {qc::GateType::CX, qc::GateType::CZ,
+                                 qc::GateType::SWAP, qc::GateType::RXX,
+                                 qc::GateType::CH};
+    const sim::Matrix2 paulis[3] = {
+        sim::gateMatrix1(qc::Gate(qc::GateType::X, {0})),
+        sim::gateMatrix1(qc::Gate(qc::GateType::Y, {0})),
+        sim::gateMatrix1(qc::Gate(qc::GateType::Z, {0})),
+    };
+    std::vector<double> got, want;
+    std::vector<const sim::Matrix2 *> per_lane;
+    std::vector<sim::Relaxation> events;
+    std::vector<int> outcomes;
+    // Three batches, the middle one with fewer lanes.
+    const std::size_t batches[] = {max_lanes,
+                                   std::max<std::size_t>(1, max_lanes / 3),
+                                   max_lanes};
+    for (std::size_t active : batches) {
+        lanes.resetToZero(active);
+        ref.reset(active);
+        for (std::size_t step = 0; step < 48; ++step) {
+            const std::size_t op = rng.index(8);
+            std::string what;
+            if (op <= 1) {
+                const auto type = oneQ[rng.index(std::size(oneQ))];
+                const auto q = static_cast<qc::Qubit>(qubit(
+                    static_cast<int>(rng.index(2))));
+                std::vector<double> params;
+                if (qc::gateParamCount(type) == 1)
+                    params.push_back(rng.uniform(-3.0, 3.0));
+                const qc::Gate g(type, {q}, params);
+                lanes.applyGate(g);
+                ref.gate(g);
+                what = g.toString();
+            } else if (op == 2) {
+                // Both bits low, one on each side, or both high.
+                const int kind = static_cast<int>(rng.index(3));
+                std::size_t a = qubit(kind == 2 ? 1 : 0);
+                std::size_t b = qubit(kind == 0 ? 0 : 1);
+                if (a == b)
+                    b = (b + 1) % n;
+                if (rng.index(2) == 1)
+                    std::swap(a, b);
+                const auto type = twoQ[rng.index(std::size(twoQ))];
+                std::vector<double> params;
+                if (qc::gateParamCount(type) == 1)
+                    params.push_back(rng.uniform(-3.0, 3.0));
+                const qc::Gate g(type,
+                                 {static_cast<qc::Qubit>(a),
+                                  static_cast<qc::Qubit>(b)},
+                                 params);
+                lanes.applyGate(g);
+                ref.gate(g);
+                what = g.toString();
+            } else if (op == 3) {
+                const std::size_t q = qubit(static_cast<int>(rng.index(2)));
+                per_lane.assign(active, nullptr);
+                for (std::size_t l = 0; l < active; ++l) {
+                    const std::size_t k = rng.index(4);
+                    per_lane[l] = k == 0 ? nullptr : &paulis[k - 1];
+                }
+                lanes.applyPerLane(q, per_lane);
+                ref.perLane(q, per_lane);
+                what = "paulis on " + std::to_string(q);
+            } else if (op <= 5) {
+                // Decay / Jump / None x dephase, standalone or fused.
+                const std::size_t q = qubit(static_cast<int>(rng.index(2)));
+                events.assign(active, sim::Relaxation{});
+                for (std::size_t l = 0; l < active; ++l) {
+                    sim::Relaxation &ev = events[l];
+                    switch (rng.index(3)) {
+                      case 0:
+                        break;
+                      case 1:
+                        ev.damping = sim::Relaxation::Damping::Decay;
+                        ev.keep0 = rng.uniform(1.0, 1.2);
+                        ev.keep1 = rng.uniform(0.7, 1.0);
+                        break;
+                      default:
+                        ev.damping = sim::Relaxation::Damping::Jump;
+                        ev.keep1 = rng.uniform(1.0, 1.5);
+                        break;
+                    }
+                    ev.dephase = rng.index(2) == 1;
+                }
+                what = "relax " + std::to_string(q);
+                ref.relax(q, events);
+                if (op == 4) {
+                    lanes.relax(q, events);
+                } else {
+                    const std::size_t next =
+                        qubit(static_cast<int>(rng.index(2)));
+                    if (lanes.relax(q, events, next, got)) {
+                        want = ref.p1(next);
+                        for (std::size_t l = 0; l < active; ++l)
+                            ASSERT_TRUE(bitEqual(got[l], want[l]))
+                                << what << ", fused P(1) of " << next
+                                << ", lane " << l << ", step " << step;
+                    }
+                }
+            } else if (op == 6) {
+                const std::size_t q = qubit(static_cast<int>(rng.index(2)));
+                lanes.probabilitiesOfOne(q, got);
+                want = ref.p1(q);
+                outcomes.assign(active, 0);
+                for (std::size_t l = 0; l < active; ++l) {
+                    ASSERT_TRUE(bitEqual(got[l], want[l]))
+                        << "P(1) of " << q << ", lane " << l << ", step "
+                        << step;
+                    outcomes[l] = rng.uniform() < want[l] ? 1 : 0;
+                }
+                lanes.collapse(q, outcomes, got);
+                ref.collapse(q, outcomes, want);
+                what = "collapse " + std::to_string(q);
+            } else {
+                for (std::size_t l = 0; l < active; ++l) {
+                    stats::Rng a(seed + 977 * step + l), b = a;
+                    ASSERT_EQ(lanes.sampleBasisState(l, a), ref.sample(l, b))
+                        << "sample, lane " << l << ", step " << step;
+                }
+                what = "sample";
+            }
+            const std::string diff = compareLanes(lanes, ref);
+            ASSERT_EQ(diff, "") << what << " at step " << step;
+        }
+        // Every qubit's P(1) and a CCX at the end of each batch.
+        if (n >= 3) {
+            const qc::Gate ccx(qc::GateType::CCX,
+                               {0, static_cast<qc::Qubit>(n - 1), 3});
+            lanes.applyGate(ccx);
+            ref.gate(ccx);
+            ASSERT_EQ(compareLanes(lanes, ref), "") << "ccx";
+        }
+        for (std::size_t q = 0; q < n; ++q) {
+            lanes.probabilitiesOfOne(q, got);
+            want = ref.p1(q);
+            for (std::size_t l = 0; l < active; ++l)
+                ASSERT_TRUE(bitEqual(got[l], want[l]))
+                    << "final P(1) of " << q << ", lane " << l;
+        }
+    }
+}
+
+} // namespace
+
+TEST(TrajectoryLanes, LiveBlockWalkMatchesDenseReference)
+{
+    // Seeded lane programs from |0...0>, where blocks really die and
+    // revive: the walk over live blocks must give the dense walk's
+    // nonzero amplitudes, P(1) values and samples bit for bit, and
+    // zeros equal as values, under every dispatch and SIMD path.
+    struct Mode
+    {
+        const char *name;
+        std::size_t jobs;
+        std::size_t threshold;
+        bool force;
+        kernels::SimdMode simd;
+    };
+    const Mode modes[] = {
+        {"serial", 1, std::size_t{1} << 16, false, kernels::SimdMode::Auto},
+        {"forced-parallel", 4, 1, true, kernels::SimdMode::Auto},
+        {"scalar", 1, std::size_t{1} << 16, false, kernels::SimdMode::Scalar},
+    };
+    const LaneShape shapes[] = {{7, 16}, {8, 5},  {9, 3},  {10, 8},
+                                {11, 8}, {12, 2}, {14, 1}, {16, 1},
+                                {16, 2}};
+    obs::setMetricsEnabled(true);
+    obs::Counter &skipped = obs::counter(obs::names::kSimLanesBlocksSkipped);
+    obs::Counter &walked = obs::counter(obs::names::kSimLanesBlocksWalked);
+    for (const Mode &mode : modes) {
+        kernels::KernelConfigGuard guard;
+        kernels::setKernelJobs(mode.jobs);
+        kernels::setKernelThreshold(mode.threshold);
+        kernels::setForceParallel(mode.force);
+        kernels::setSimdMode(mode.simd);
+        const std::uint64_t skipped0 = skipped.value();
+        const std::uint64_t walked0 = walked.value();
+        for (std::size_t i = 0; i < std::size(shapes); ++i) {
+            const LaneShape &shape = shapes[i];
+            SCOPED_TRACE(std::string(mode.name) + ", width " +
+                         std::to_string(shape.n) + " x " +
+                         std::to_string(shape.lanes));
+            checkLaneProgram(shape.n, shape.lanes, 4100 + i);
+            if (HasFatalFailure())
+                break;
+        }
+        EXPECT_GT(skipped.value() - skipped0, walked.value() - walked0)
+            << mode.name << ": the walk should skip most blocks";
+    }
+    obs::setMetricsEnabled(false);
 }
 
 // ---------------------------------------------------------------------
