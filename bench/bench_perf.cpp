@@ -2,9 +2,10 @@
  * @file
  * Performance harness for the hot paths.
  *
- * Default mode times the pipeline stages (transpilation cold/cached,
- * dense-simulator kernels, noisy trajectory execution) and the Fig. 2
- * grid serial vs parallel, verifies the two grids are byte-identical,
+ * Default mode times the pipeline stages (the Fig. 2 suite's set-up
+ * serial vs parallel, transpilation cold/cached, dense-simulator
+ * kernels, noisy trajectory execution) and the Fig. 2 grid serial vs
+ * parallel, verifies the two grids are byte-identical,
  * and writes the machine-readable BENCH_perf.json so the perf
  * trajectory is tracked across PRs.
  *
@@ -396,9 +397,17 @@ perfHarness(int argc, char **argv)
               << util::defaultJobs() << " hardware threads, grid jobs="
               << jobs << ")\n";
 
+    // The Fig. 2 suite's set-up, almost all of it the QAOA and VQE
+    // parameter searches: serial, then on the grid's workers.
+    std::vector<core::BenchmarkPtr> suite;
+    record("fig2_suite_build_serial",
+           timeIt([&] { suite = core::figure2Benchmarks(1); }));
+    record("fig2_suite_build_parallel", timeIt([&] {
+               benchmark::DoNotOptimize(core::figure2Benchmarks(jobs));
+           }));
+
     // Transpilation across the full grid's inputs, cold then memoized.
     std::vector<device::Device> devices = device::allDevices();
-    std::vector<core::BenchmarkPtr> suite = core::figure2Benchmarks();
     transpile::clearTranspileCache();
     auto transpile_all = [&] {
         for (const core::BenchmarkPtr &bench : suite) {

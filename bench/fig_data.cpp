@@ -516,7 +516,7 @@ computeFig2GridOutcome(const Scale &scale)
         std::cerr << "(reusing cached grid " << cachePath(scale) << ")\n";
         return outcome;
     }
-    outcome = computeGrid(scale, core::figure2Benchmarks(),
+    outcome = computeGrid(scale, core::figure2Benchmarks(scale.jobs),
                           device::allDevices());
     if (cacheable && !outcome.interrupted && !outcome.storageError)
         saveGrid(outcome.grid, scale);

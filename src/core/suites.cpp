@@ -1,6 +1,10 @@
 #include "core/suites.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <functional>
+#include <numeric>
+#include <utility>
 
 #include "core/coverage.hpp"
 
@@ -12,6 +16,7 @@
 #include "core/benchmarks/vqe.hpp"
 #include "qc/library.hpp"
 #include "util/seed.hpp"
+#include "util/thread_pool.hpp"
 
 namespace smq::core {
 
@@ -92,43 +97,81 @@ secretBits(std::size_t n, std::uint64_t pattern)
 } // namespace
 
 std::vector<BenchmarkPtr>
-figure2Benchmarks()
+figure2Benchmarks(std::size_t jobs)
 {
-    std::vector<BenchmarkPtr> suite;
+    /** One row: its constructor and how long that runs, in ms. */
+    struct Row
+    {
+        double buildMs;
+        std::function<BenchmarkPtr()> make;
+    };
+    std::vector<Row> rows;
+    auto add = [&rows](double build_ms, std::function<BenchmarkPtr()> make) {
+        rows.push_back({build_ms, std::move(make)});
+    };
+    // Only the QAOA and VQE constructors take time: each runs its
+    // Nelder-Mead parameter search on a noiseless statevector. Their
+    // costs are serial build times on a 4-vCPU host; they only order
+    // the claims, never what a row holds.
     // GHZ: 3..16 qubits (27q devices cap at the simulator budget)
     for (std::size_t n : {3, 5, 7, 11, 16})
-        suite.push_back(std::make_unique<GhzBenchmark>(n));
+        add(0, [n] { return std::make_unique<GhzBenchmark>(n); });
     // Mermin-Bell: the hard, all-to-all benchmark stays small
     for (std::size_t n : {3, 4, 5})
-        suite.push_back(std::make_unique<MerminBellBenchmark>(n));
+        add(0, [n] { return std::make_unique<MerminBellBenchmark>(n); });
     // error-correction proxies: (data qubits, rounds)
-    suite.push_back(std::make_unique<BitCodeBenchmark>(
-        BitCodeBenchmark::alternating(3, 1)));
-    suite.push_back(std::make_unique<BitCodeBenchmark>(
-        BitCodeBenchmark::alternating(4, 2)));
-    suite.push_back(std::make_unique<BitCodeBenchmark>(
-        BitCodeBenchmark::alternating(6, 2)));
-    suite.push_back(std::make_unique<PhaseCodeBenchmark>(
-        PhaseCodeBenchmark::alternating(3, 1)));
-    suite.push_back(std::make_unique<PhaseCodeBenchmark>(
-        PhaseCodeBenchmark::alternating(4, 2)));
-    suite.push_back(std::make_unique<PhaseCodeBenchmark>(
-        PhaseCodeBenchmark::alternating(6, 2)));
+    for (auto [d, r] : {std::pair<std::size_t, std::size_t>{3, 1},
+                        {4, 2},
+                        {6, 2}}) {
+        add(0, [d, r] {
+            return std::make_unique<BitCodeBenchmark>(
+                BitCodeBenchmark::alternating(d, r));
+        });
+    }
+    for (auto [d, r] : {std::pair<std::size_t, std::size_t>{3, 1},
+                        {4, 2},
+                        {6, 2}}) {
+        add(0, [d, r] {
+            return std::make_unique<PhaseCodeBenchmark>(
+                PhaseCodeBenchmark::alternating(d, r));
+        });
+    }
     // QAOA on SK instances
-    for (std::size_t n : {4, 6, 8})
-        suite.push_back(std::make_unique<QaoaVanillaBenchmark>(n, n));
-    for (std::size_t n : {4, 6, 8})
-        suite.push_back(std::make_unique<QaoaSwapBenchmark>(n, n));
+    for (auto [n, ms] : {std::pair<std::size_t, double>{4, 1.9},
+                         {6, 5.2},
+                         {8, 16.1}})
+        add(ms, [n] { return std::make_unique<QaoaVanillaBenchmark>(n, n); });
+    for (auto [n, ms] : {std::pair<std::size_t, double>{4, 4.3},
+                         {6, 11.8},
+                         {8, 34.7}})
+        add(ms, [n] { return std::make_unique<QaoaSwapBenchmark>(n, n); });
     // VQE on the TFIM chain
-    for (std::size_t n : {4, 6, 8})
-        suite.push_back(std::make_unique<VqeBenchmark>(n, 1));
+    for (auto [n, ms] : {std::pair<std::size_t, double>{4, 11.4},
+                         {6, 22.6},
+                         {8, 55.2}})
+        add(ms, [n] { return std::make_unique<VqeBenchmark>(n, 1); });
     // Hamiltonian simulation: (qubits, Trotter steps)
-    suite.push_back(
-        std::make_unique<HamiltonianSimulationBenchmark>(4, 3));
-    suite.push_back(
-        std::make_unique<HamiltonianSimulationBenchmark>(6, 4));
-    suite.push_back(
-        std::make_unique<HamiltonianSimulationBenchmark>(8, 5));
+    for (auto [n, s] : {std::pair<std::size_t, std::size_t>{4, 3},
+                        {6, 4},
+                        {8, 5}}) {
+        add(0, [n, s] {
+            return std::make_unique<HamiltonianSimulationBenchmark>(n, s);
+        });
+    }
+
+    // The workers claim the longest builds first, so no long search
+    // starts last while the other workers idle. Each row is built
+    // alone into its own slot: the suite is the same at any jobs.
+    std::vector<std::size_t> claims(rows.size());
+    std::iota(claims.begin(), claims.end(), std::size_t{0});
+    std::stable_sort(claims.begin(), claims.end(),
+                     [&rows](std::size_t a, std::size_t b) {
+                         return rows[a].buildMs > rows[b].buildMs;
+                     });
+    std::vector<BenchmarkPtr> suite(rows.size());
+    util::parallelFor(jobs, claims.size(), [&](std::size_t k) {
+        suite[claims[k]] = rows[claims[k]].make();
+    });
     return suite;
 }
 

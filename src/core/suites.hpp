@@ -65,8 +65,11 @@ bool shardOwnsCell(const ShardSpec &shard, std::string_view benchmark,
 /**
  * The Fig. 2 benchmark instances: all eight applications at the sizes
  * evaluated in the paper (small enough for every device class).
+ * @p jobs workers build them (0 = util::defaultJobs()), the QAOA and
+ * VQE parameter searches side by side; the suite, its row order
+ * included, is the same at any jobs.
  */
-std::vector<BenchmarkPtr> figure2Benchmarks();
+std::vector<BenchmarkPtr> figure2Benchmarks(std::size_t jobs = 1);
 
 /**
  * The smallest instance of each of the eight applications: a fast,

@@ -1,11 +1,36 @@
 #include "qc/circuit.hpp"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 
 namespace smq::qc {
+
+namespace {
+
+/** Whether @p qubits names some qubit twice. */
+bool
+hasDuplicate(const std::vector<Qubit> &qubits)
+{
+    // A gate has at most three operands: comparing pairs allocates
+    // nothing, and every search evaluation appends hundreds of gates.
+    // Only a barrier lists more, up to the whole register.
+    constexpr std::size_t kPairwise = 8;
+    if (qubits.size() <= kPairwise) {
+        for (std::size_t i = 1; i < qubits.size(); ++i) {
+            for (std::size_t j = 0; j < i; ++j) {
+                if (qubits[i] == qubits[j])
+                    return true;
+            }
+        }
+        return false;
+    }
+    std::vector<Qubit> sorted(qubits);
+    std::sort(sorted.begin(), sorted.end());
+    return std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end();
+}
+
+} // namespace
 
 Circuit::Circuit(std::size_t num_qubits, std::size_t num_clbits,
                  std::string name)
@@ -34,13 +59,11 @@ Circuit::append(Gate gate)
     }
     // Barriers take any number of qubit operands (empty = full fence),
     // but the operands must still name distinct, in-range qubits.
-    std::set<Qubit> seen;
-    for (Qubit q : gate.qubits) {
+    for (Qubit q : gate.qubits)
         checkQubit(q);
-        if (!seen.insert(q).second)
-            throw std::invalid_argument(
-                "Circuit::append: duplicate qubit operand");
-    }
+    if (hasDuplicate(gate.qubits))
+        throw std::invalid_argument(
+            "Circuit::append: duplicate qubit operand");
     if (gate.type != GateType::BARRIER) {
         if (gate.type == GateType::MEASURE) {
             if (gate.cbit < 0 ||

@@ -1,6 +1,7 @@
 #include "sim/density_matrix.hpp"
 
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -155,22 +156,23 @@ DensityMatrix::depolarize1(std::size_t q, double p)
     const double c = 1.0 - 4.0 * p / 3.0; // coherence scale
     const std::size_t stride = std::size_t{1} << q;
     Complex *rho = rho_.data();
-    kernels::forEachRange(
-        dim_ / 2, dim_ * dim_, [&](std::size_t pb, std::size_t pe) {
-            for (std::size_t pr = pb; pr < pe; ++pr) {
-                Complex *row0 = rho + expand1(pr, q) * dim_;
-                Complex *row1 = row0 + stride * dim_;
-                for (std::size_t cp = 0; cp < dim_ / 2; ++cp) {
-                    const std::size_t c0 = expand1(cp, q);
-                    const std::size_t c1 = c0 + stride;
-                    const Complex b00 = row0[c0], b11 = row1[c1];
-                    row0[c0] = a * b00 + b * b11;
-                    row1[c1] = b * b00 + a * b11;
-                    row0[c1] *= c;
-                    row1[c0] *= c;
-                }
+    auto body = [&](std::size_t pb, std::size_t pe) {
+        for (std::size_t pr = pb; pr < pe; ++pr) {
+            Complex *row0 = rho + expand1(pr, q) * dim_;
+            Complex *row1 = row0 + stride * dim_;
+            for (std::size_t cp = 0; cp < dim_ / 2; ++cp) {
+                const std::size_t c0 = expand1(cp, q);
+                const std::size_t c1 = c0 + stride;
+                const Complex b00 = row0[c0], b11 = row1[c1];
+                row0[c0] = a * b00 + b * b11;
+                row1[c1] = b * b00 + a * b11;
+                row0[c1] *= c;
+                row1[c0] *= c;
             }
-        });
+        }
+    };
+    // std::ref keeps the std::function in its small buffer.
+    kernels::forEachRange(dim_ / 2, dim_ * dim_, std::ref(body));
 }
 
 void
@@ -194,33 +196,30 @@ DensityMatrix::depolarize2(std::size_t qa, std::size_t qb, double p)
     if (p0 > p1)
         std::swap(p0, p1);
     Complex *rho = rho_.data();
-    kernels::forEachRange(
-        dim_ / 4, dim_ * dim_, [&](std::size_t kb, std::size_t ke) {
-            for (std::size_t kr = kb; kr < ke; ++kr) {
-                const std::size_t base = expand2(kr, p0, p1);
-                Complex *rows[4] = {
-                    rho + base * dim_, rho + (base + sb) * dim_,
-                    rho + (base + sa) * dim_,
-                    rho + (base + sa + sb) * dim_};
-                for (std::size_t kc = 0; kc < dim_ / 4; ++kc) {
-                    const std::size_t cbase = expand2(kc, p0, p1);
-                    const std::size_t cols[4] = {cbase, cbase + sb,
-                                                 cbase + sa,
-                                                 cbase + sa + sb};
-                    const Complex tr =
-                        rows[0][cols[0]] + rows[1][cols[1]] +
-                        rows[2][cols[2]] + rows[3][cols[3]];
-                    for (int i = 0; i < 4; ++i) {
-                        for (int j = 0; j < 4; ++j) {
-                            Complex v = alpha * rows[i][cols[j]];
-                            if (i == j)
-                                v += beta * tr;
-                            rows[i][cols[j]] = v;
-                        }
+    auto body = [&](std::size_t kb, std::size_t ke) {
+        for (std::size_t kr = kb; kr < ke; ++kr) {
+            const std::size_t base = expand2(kr, p0, p1);
+            Complex *rows[4] = {rho + base * dim_, rho + (base + sb) * dim_,
+                                rho + (base + sa) * dim_,
+                                rho + (base + sa + sb) * dim_};
+            for (std::size_t kc = 0; kc < dim_ / 4; ++kc) {
+                const std::size_t cbase = expand2(kc, p0, p1);
+                const std::size_t cols[4] = {cbase, cbase + sb, cbase + sa,
+                                             cbase + sa + sb};
+                const Complex tr = rows[0][cols[0]] + rows[1][cols[1]] +
+                                   rows[2][cols[2]] + rows[3][cols[3]];
+                for (int i = 0; i < 4; ++i) {
+                    for (int j = 0; j < 4; ++j) {
+                        Complex v = alpha * rows[i][cols[j]];
+                        if (i == j)
+                            v += beta * tr;
+                        rows[i][cols[j]] = v;
                     }
                 }
             }
-        });
+        }
+    };
+    kernels::forEachRange(dim_ / 4, dim_ * dim_, std::ref(body));
 }
 
 void
@@ -241,22 +240,22 @@ DensityMatrix::thermalRelax(std::size_t q, double gamma, double pz)
     const double keep = 1.0 - gamma;
     const std::size_t stride = std::size_t{1} << q;
     Complex *rho = rho_.data();
-    kernels::forEachRange(
-        dim_ / 2, dim_ * dim_, [&](std::size_t pb, std::size_t pe) {
-            for (std::size_t pr = pb; pr < pe; ++pr) {
-                Complex *row0 = rho + expand1(pr, q) * dim_;
-                Complex *row1 = row0 + stride * dim_;
-                for (std::size_t cp = 0; cp < dim_ / 2; ++cp) {
-                    const std::size_t c0 = expand1(cp, q);
-                    const std::size_t c1 = c0 + stride;
-                    const Complex b11 = row1[c1];
-                    row0[c0] += gamma * b11;
-                    row1[c1] = keep * b11;
-                    row0[c1] *= coh;
-                    row1[c0] *= coh;
-                }
+    auto body = [&](std::size_t pb, std::size_t pe) {
+        for (std::size_t pr = pb; pr < pe; ++pr) {
+            Complex *row0 = rho + expand1(pr, q) * dim_;
+            Complex *row1 = row0 + stride * dim_;
+            for (std::size_t cp = 0; cp < dim_ / 2; ++cp) {
+                const std::size_t c0 = expand1(cp, q);
+                const std::size_t c1 = c0 + stride;
+                const Complex b11 = row1[c1];
+                row0[c0] += gamma * b11;
+                row1[c1] = keep * b11;
+                row0[c1] *= coh;
+                row1[c0] *= coh;
             }
-        });
+        }
+    };
+    kernels::forEachRange(dim_ / 2, dim_ * dim_, std::ref(body));
 }
 
 double

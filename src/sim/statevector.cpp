@@ -41,24 +41,28 @@ checkQubitIndex(std::size_t q, std::size_t num_qubits)
 
 namespace dense {
 
+// Each body below is passed as std::ref: a lambda of more than two
+// captures does not fit std::function's small buffer, and would cost a
+// heap allocation per gate.
+
 void
 matrix1Kernel(Complex *amps, std::size_t size, std::size_t q,
               const Matrix2 &m)
 {
-    kernels::forEachRange(size / 2, size,
-                          [&](std::size_t pb, std::size_t pe) {
-                              kernels::pairRange(amps, pb, pe, q, m);
-                          });
+    auto body = [&](std::size_t pb, std::size_t pe) {
+        kernels::pairRange(amps, pb, pe, q, m);
+    };
+    kernels::forEachRange(size / 2, size, std::ref(body));
 }
 
 void
 matrix2Kernel(Complex *amps, std::size_t size, std::size_t q0,
               std::size_t q1, const Matrix4 &m)
 {
-    kernels::forEachRange(size / 4, size,
-                          [&](std::size_t kb, std::size_t ke) {
-                              kernels::quadRange(amps, kb, ke, q0, q1, m);
-                          });
+    auto body = [&](std::size_t kb, std::size_t ke) {
+        kernels::quadRange(amps, kb, ke, q0, q1, m);
+    };
+    kernels::forEachRange(size / 4, size, std::ref(body));
 }
 
 void
@@ -76,13 +80,13 @@ gateKernel(Complex *amps, std::size_t size, std::size_t n,
         std::size_t p0 = gate.qubits[0], p1 = gate.qubits[1],
                     p2 = gate.qubits[2];
         sort3(p0, p1, p2);
-        kernels::forEachRange(
-            size >> 3, size >> 2, [&](std::size_t kb, std::size_t ke) {
-                for (std::size_t k = kb; k < ke; ++k) {
-                    std::size_t base = expand3(k, p0, p1, p2) | c0 | c1;
-                    std::swap(amps[base], amps[base | t]);
-                }
-            });
+        auto body = [&](std::size_t kb, std::size_t ke) {
+            for (std::size_t k = kb; k < ke; ++k) {
+                std::size_t base = expand3(k, p0, p1, p2) | c0 | c1;
+                std::swap(amps[base], amps[base | t]);
+            }
+        };
+        kernels::forEachRange(size >> 3, size >> 2, std::ref(body));
         return;
       }
       case GateType::CSWAP: {
@@ -93,13 +97,13 @@ gateKernel(Complex *amps, std::size_t size, std::size_t n,
         std::size_t p0 = gate.qubits[0], p1 = gate.qubits[1],
                     p2 = gate.qubits[2];
         sort3(p0, p1, p2);
-        kernels::forEachRange(
-            size >> 3, size >> 2, [&](std::size_t kb, std::size_t ke) {
-                for (std::size_t k = kb; k < ke; ++k) {
-                    std::size_t base = expand3(k, p0, p1, p2) | c | a;
-                    std::swap(amps[base], amps[base ^ a ^ b]);
-                }
-            });
+        auto body = [&](std::size_t kb, std::size_t ke) {
+            for (std::size_t k = kb; k < ke; ++k) {
+                std::size_t base = expand3(k, p0, p1, p2) | c | a;
+                std::swap(amps[base], amps[base ^ a ^ b]);
+            }
+        };
+        kernels::forEachRange(size >> 3, size >> 2, std::ref(body));
         return;
       }
       case GateType::MEASURE:
@@ -156,7 +160,10 @@ countLive(const unsigned char *flags, std::size_t count)
     for (; i + 8 <= count; i += 8) {
         std::uint64_t word;
         std::memcpy(&word, flags + i, sizeof(word));
-        live += static_cast<std::size_t>(__builtin_popcountll(word));
+        // Eight bytes of 0 or 1 sum into the top byte, at most 8: no
+        // carry crosses a byte, and no popcount instruction (which the
+        // base ISA lacks, so __builtin_popcountll calls libgcc) runs.
+        live += static_cast<std::size_t>((word * 0x0101010101010101ull) >> 56);
     }
     for (; i < count; ++i)
         live += flags[i];
@@ -479,10 +486,10 @@ idlePass(Complex *amps, std::size_t n, std::size_t lanes, std::size_t q,
                    (chainQ != kernels::kNoBit && w.scale.f1 != 1.0);
         return w;
     };
-    /** Live blocks of chain c. */
-    auto liveIn = [&](std::size_t c) {
-        return live != nullptr ? countLive(live + c * perChain, perChain)
-                               : perChain;
+    /** Whether every block of chain c is live (stops at a dead one). */
+    auto allLiveIn = [&](std::size_t c) {
+        return live == nullptr ||
+               std::memchr(live + c * perChain, 0, perChain) == nullptr;
     };
     /** Blocks of chain c a walk of every amplitude would run on. */
     auto reads = [&](const Work &w) {
@@ -574,7 +581,7 @@ idlePass(Complex *amps, std::size_t n, std::size_t lanes, std::size_t q,
             const Work w = work(c);
             if (!w.scaled && !w.summed)
                 continue;
-            if (liveIn(c) < perChain) {
+            if (!allLiveIn(c)) {
                 sparse(c, w);
                 continue;
             }
@@ -595,10 +602,10 @@ idlePass(Complex *amps, std::size_t n, std::size_t lanes, std::size_t q,
         const Work w = work(c);
         if (!w.scaled && !w.summed)
             return;
-        if (liveIn(c) < perChain)
-            sparse(c, w);
-        else
+        if (allLiveIn(c))
             walk(&c, &w, 1);
+        else
+            sparse(c, w);
     };
     // std::ref keeps each std::function in its small buffer: no
     // allocation per pass.
@@ -670,11 +677,10 @@ collapseAll(Complex *amps, std::size_t n, std::size_t q, int outcome,
             double scale)
 {
     const std::size_t size = std::size_t{1} << n;
-    kernels::forEachRange(size / 2, size,
-                          [&](std::size_t pb, std::size_t pe) {
-                              collapseRange(amps, n, pb, pe, q, &outcome,
-                                            &scale);
-                          });
+    auto body = [&](std::size_t pb, std::size_t pe) {
+        collapseRange(amps, n, pb, pe, q, &outcome, &scale);
+    };
+    kernels::forEachRange(size / 2, size, std::ref(body));
 }
 
 /**

@@ -56,6 +56,20 @@ TEST(Circuit, RejectsOutOfRangeOperands)
     EXPECT_THROW(c.cx(1, 1), std::invalid_argument); // duplicate operand
 }
 
+TEST(Circuit, RejectsDuplicateOperandsOfEveryArity)
+{
+    Circuit c(12, 0);
+    EXPECT_THROW(c.ccx(0, 1, 0), std::invalid_argument);
+    EXPECT_THROW(c.barrier({2, 2}), std::invalid_argument);
+    std::vector<Qubit> all(12);
+    for (std::size_t q = 0; q < all.size(); ++q)
+        all[q] = static_cast<Qubit>(q);
+    c.barrier(all);
+    all.back() = 3;
+    EXPECT_THROW(c.barrier(all), std::invalid_argument);
+    EXPECT_EQ(c.size(), 1u);
+}
+
 TEST(Circuit, RejectsMalformedGateRecords)
 {
     Circuit c(2, 0);
