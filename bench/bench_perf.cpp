@@ -13,9 +13,15 @@
  * micro-benchmarks of the substrates (simulator gate throughput,
  * transpilation, feature extraction, Clifford synthesis, hulls).
  *
- * Flags (default mode): --jobs N (parallel grid width; default = all
+ * Each stage's wall_ms is the median of kStageRuns timed runs, each
+ * run starting from the same state (the transpile memo is cleared
+ * before every cold run), so one slow moment of a shared host does not
+ * become the recorded figure.
+ *
+ * Flags (default mode): --jobs N (parallel grid width; default 0 = all
  * hardware threads), --full (default-scale grid instead of the
- * reduced perf scale), --json PATH (output path).
+ * reduced perf scale), --json PATH (output path), and the other
+ * regenerator flags of bench::scaleFromArgs.
  */
 
 #include <benchmark/benchmark.h>
@@ -50,6 +56,7 @@
 #include "sim/kernels.hpp"
 #include "sim/runner.hpp"
 #include "sim/statevector.hpp"
+#include "stats/descriptive.hpp"
 #include "transpile/cache.hpp"
 #include "transpile/transpiler.hpp"
 #include "util/thread_pool.hpp"
@@ -301,6 +308,32 @@ timeIt(Fn &&fn)
     return millisSince(start);
 }
 
+/** Timed runs per stage; the stage records their median. */
+constexpr int kStageRuns = 5;
+
+/**
+ * Median wall time of kStageRuns runs of @p fn, each after an untimed
+ * @p reset that restores the state the first run started from.
+ */
+template <typename Fn, typename Reset>
+double
+stageMs(Fn &&fn, Reset &&reset)
+{
+    std::vector<double> ms;
+    for (int r = 0; r < kStageRuns; ++r) {
+        reset();
+        ms.push_back(timeIt(fn));
+    }
+    return stats::median(std::move(ms));
+}
+
+template <typename Fn>
+double
+stageMs(Fn &&fn)
+{
+    return stageMs(fn, [] {});
+}
+
 /**
  * metrics-on vs metrics-off timing of a fixed simulation workload, in
  * alternating pairs: each time is a median over the pairs.
@@ -369,23 +402,19 @@ writeJson(const std::string &path, const std::vector<Stage> &stages,
 int
 perfHarness(int argc, char **argv)
 {
-    std::size_t jobs = util::defaultJobs();
     bool full = false;
     std::string json_path = "BENCH_perf.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
-            jobs = static_cast<std::size_t>(std::atoi(argv[++i]));
-        else if (std::strncmp(argv[i], "--jobs=", 7) == 0)
-            jobs = static_cast<std::size_t>(std::atoi(argv[i] + 7));
-        else if (std::strcmp(argv[i], "--full") == 0)
-            full = true;
-        else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            json_path = argv[++i];
-    }
-    if (jobs == 0)
-        jobs = util::defaultJobs();
+    util::Flags flags;
+    flags.add("--full", full).add("--json", json_path);
+    bench::Scale cli;
+    cli.jobs = 0;
+    cli = bench::scaleFromArgs(argc, argv, flags, cli);
+    // The manifest records the width the parallel grid runs at.
+    if (cli.jobs == 0)
+        cli.jobs = util::defaultJobs();
+    const std::size_t jobs = cli.jobs;
 
-    bench::ObsSession obs_session("bench_perf", argc, argv);
+    bench::ObsSession obs_session("bench_perf", cli);
 
     std::vector<Stage> stages;
     auto record = [&](const std::string &name, double ms) {
@@ -401,14 +430,14 @@ perfHarness(int argc, char **argv)
     // parameter searches: serial, then on the grid's workers.
     std::vector<core::BenchmarkPtr> suite;
     record("fig2_suite_build_serial",
-           timeIt([&] { suite = core::figure2Benchmarks(1); }));
-    record("fig2_suite_build_parallel", timeIt([&] {
+           stageMs([&] { suite = core::figure2Benchmarks(1); }));
+    record("fig2_suite_build_parallel", stageMs([&] {
                benchmark::DoNotOptimize(core::figure2Benchmarks(jobs));
            }));
 
     // Transpilation across the full grid's inputs, cold then memoized.
     std::vector<device::Device> devices = device::allDevices();
-    transpile::clearTranspileCache();
+    auto clear_memo = [] { transpile::clearTranspileCache(); };
     auto transpile_all = [&] {
         for (const core::BenchmarkPtr &bench : suite) {
             for (const device::Device &dev : devices) {
@@ -419,22 +448,22 @@ perfHarness(int argc, char **argv)
             }
         }
     };
-    record("transpile_grid_cold", timeIt(transpile_all));
-    record("transpile_grid_memoized", timeIt(transpile_all));
+    record("transpile_grid_cold", stageMs(transpile_all, clear_memo));
+    record("transpile_grid_memoized", stageMs(transpile_all));
 
     // Dense-kernel stages.
-    record("statevector_ghz20_ideal", timeIt([&] {
+    record("statevector_ghz20_ideal", stageMs([&] {
                core::GhzBenchmark ghz(20);
                benchmark::DoNotOptimize(
                    sim::idealDistribution(ghz.circuits()[0]));
            }));
-    record("density_matrix_ghz9_exact_noise", timeIt([&] {
+    record("density_matrix_ghz9_exact_noise", stageMs([&] {
                core::GhzBenchmark ghz(9);
                benchmark::DoNotOptimize(sim::noisyDistribution(
                    ghz.circuits()[0], device::ibmMontreal().noise));
            }));
     // GHZ is Clifford: the planner sends it to the stabilizer tableau.
-    record("stabilizer_ghz14_2000shots", timeIt([&] {
+    record("stabilizer_ghz14_2000shots", stageMs([&] {
                core::GhzBenchmark ghz(14);
                sim::RunOptions ro;
                ro.shots = 2000;
@@ -452,7 +481,7 @@ perfHarness(int argc, char **argv)
         const device::Device montreal = device::ibmMontreal();
         const core::PreparedCircuits prepared =
             core::prepareCircuits(code, montreal, core::HarnessOptions{});
-        record("trajectories_bitcode11_midcircuit_500shots", timeIt([&] {
+        record("trajectories_bitcode11_midcircuit_500shots", stageMs([&] {
                    sim::RunOptions ro;
                    ro.shots = 500;
                    ro.noise = montreal.noise;
@@ -480,7 +509,7 @@ perfHarness(int argc, char **argv)
                       << ", not trajectory:width>dm-cutoff at width 16\n";
             return 1;
         }
-        record("trajectories_ghz16_wide_100shots", timeIt([&] {
+        record("trajectories_ghz16_wide_100shots", stageMs([&] {
                    sim::RunOptions ro;
                    ro.shots = 100;
                    ro.noise = montreal.noise;
@@ -520,7 +549,7 @@ perfHarness(int argc, char **argv)
             }
             benchmark::DoNotOptimize(p1.data());
         };
-        record("idle_passes_all_strides", timeIt([&] {
+        record("idle_passes_all_strides", stageMs([&] {
                    sweeps(16, 1);
                    sweeps(11, 8);
                }));
@@ -555,10 +584,6 @@ perfHarness(int argc, char **argv)
         for (int r = 0; r < kRuns; ++r)
             run(r); // warm caches before timing
         constexpr int kPairs = 21;
-        auto median = [](std::vector<double> v) {
-            std::sort(v.begin(), v.end());
-            return v[v.size() / 2];
-        };
         /**
          * Median over the pairs of test / base - 1, clamped at 0;
          * base(r) and test(r) time run r on their side.
@@ -581,9 +606,9 @@ perfHarness(int argc, char **argv)
                 tests.push_back(t);
                 ratios.push_back(b > 0.0 ? t / b - 1.0 : 0.0);
             }
-            base_ms = median(bases);
-            test_ms = median(tests);
-            return std::max(0.0, median(ratios));
+            base_ms = stats::median(bases);
+            test_ms = stats::median(tests);
+            return std::max(0.0, stats::median(ratios));
         };
         auto timed = [&](bool metrics, int r) {
             obs::setMetricsEnabled(metrics);
@@ -639,29 +664,33 @@ perfHarness(int argc, char **argv)
                   << "\n";
     }
 
-    // The Fig. 2 grid, serial then parallel, compared byte-for-byte.
+    // The Fig. 2 grid, serial then parallel, every parallel grid
+    // compared byte-for-byte with the serial one.
     bench::Scale scale;
     scale.useCache = false;
     if (!full) {
         scale.defaultShots = 100;
         scale.repetitions = 2;
     }
-    transpile::clearTranspileCache();
     scale.jobs = 1;
     bench::Fig2Grid serial_grid;
-    double serial_ms =
-        timeIt([&] { serial_grid = bench::computeFig2Grid(scale); });
+    const double serial_ms = stageMs(
+        [&] { serial_grid = bench::computeFig2Grid(scale); }, clear_memo);
     record("fig2_grid_serial", serial_ms);
 
-    transpile::clearTranspileCache();
     scale.jobs = jobs;
-    bench::Fig2Grid parallel_grid;
-    double parallel_ms =
-        timeIt([&] { parallel_grid = bench::computeFig2Grid(scale); });
+    std::vector<bench::Fig2Grid> parallel_grids;
+    const double parallel_ms = stageMs(
+        [&] { parallel_grids.push_back(bench::computeFig2Grid(scale)); },
+        clear_memo);
     record("fig2_grid_parallel", parallel_ms);
 
-    bool identical = bench::serializeGrid(serial_grid) ==
-                     bench::serializeGrid(parallel_grid);
+    const std::string serial_text = bench::serializeGrid(serial_grid);
+    const bool identical = std::all_of(
+        parallel_grids.begin(), parallel_grids.end(),
+        [&](const bench::Fig2Grid &grid) {
+            return bench::serializeGrid(grid) == serial_text;
+        });
     std::cout << "  speedup: "
               << (parallel_ms > 0.0 ? serial_ms / parallel_ms : 0.0)
               << "x over " << jobs << " jobs; grids "

@@ -1,7 +1,7 @@
 #include "fig_data.hpp"
 
 #include <cstdlib>
-#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -24,99 +24,49 @@
 
 namespace smq::bench {
 
-namespace {
-
-/** A mistyped --shard must fail loudly, not run the wrong slice. */
-core::ShardSpec
-parseShardOrDie(const char *text)
-{
-    std::optional<core::ShardSpec> spec = core::parseShardSpec(text);
-    if (!spec) {
-        std::cerr << "bad --shard '" << text
-                  << "' (expected i/N with 0 <= i < N)\n";
-        std::exit(report::kExitConfigMismatch);
-    }
-    return *spec;
-}
-
-/** A mistyped --backend must fail loudly, not fall back to Auto. */
-sim::BackendKind
-parseBackendOrDie(const char *text)
-{
-    std::optional<sim::BackendKind> kind = sim::backendFromString(text);
-    if (!kind) {
-        std::cerr << "bad --backend '" << text
-                  << "' (expected auto, statevector, density-matrix, "
-                     "stabilizer or trajectory)\n";
-        std::exit(report::kExitConfigMismatch);
-    }
-    return *kind;
-}
-
-} // namespace
-
 Scale
-scaleFromArgs(int argc, char **argv)
+scaleFromArgs(int argc, char **argv, util::Flags flags, Scale scale)
 {
-    Scale scale;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--paper") == 0) {
-            scale.paperShots = true;
-        } else if (std::strcmp(argv[i], "--quick") == 0) {
-            scale.defaultShots = 150;
-            scale.repetitions = 2;
-        } else if (std::strcmp(argv[i], "--faults") == 0) {
-            scale.faults = true;
-        } else if (std::strcmp(argv[i], "--jobs") == 0 &&
-                   i + 1 < argc) {
-            scale.jobs = static_cast<std::size_t>(
-                std::strtoul(argv[++i], nullptr, 10));
-        } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-            scale.jobs = static_cast<std::size_t>(
-                std::strtoul(argv[i] + 7, nullptr, 10));
-        } else if (std::strcmp(argv[i], "--trace") == 0 &&
-                   i + 1 < argc) {
-            scale.traceDir = argv[++i];
-        } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-            scale.traceDir = argv[i] + 8;
-        } else if (std::strcmp(argv[i], "--metrics") == 0) {
-            scale.metrics = true;
-        } else if (std::strcmp(argv[i], "--no-metrics") == 0) {
-            scale.metrics = false;
-        } else if (std::strcmp(argv[i], "--history") == 0 &&
-                   i + 1 < argc) {
-            scale.historyPath = argv[++i];
-        } else if (std::strncmp(argv[i], "--history=", 10) == 0) {
-            scale.historyPath = argv[i] + 10;
-        } else if (std::strcmp(argv[i], "--progress") == 0) {
-            scale.progress = true;
-        } else if (std::strcmp(argv[i], "--heartbeat") == 0 &&
-                   i + 1 < argc) {
-            scale.heartbeatSecs = std::strtod(argv[++i], nullptr);
-        } else if (std::strncmp(argv[i], "--heartbeat=", 12) == 0) {
-            scale.heartbeatSecs = std::strtod(argv[i] + 12, nullptr);
-        } else if (std::strcmp(argv[i], "--shard") == 0 &&
-                   i + 1 < argc) {
-            scale.shard = parseShardOrDie(argv[++i]);
-        } else if (std::strncmp(argv[i], "--shard=", 8) == 0) {
-            scale.shard = parseShardOrDie(argv[i] + 8);
-        } else if (std::strcmp(argv[i], "--checkpoint") == 0 &&
-                   i + 1 < argc) {
-            scale.checkpointDir = argv[++i];
-        } else if (std::strncmp(argv[i], "--checkpoint=", 13) == 0) {
-            scale.checkpointDir = argv[i] + 13;
-        } else if (std::strcmp(argv[i], "--resume") == 0 &&
-                   i + 1 < argc) {
-            scale.resumeDir = argv[++i];
-        } else if (std::strncmp(argv[i], "--resume=", 9) == 0) {
-            scale.resumeDir = argv[i] + 9;
-        } else if (std::strcmp(argv[i], "--backend") == 0 &&
-                   i + 1 < argc) {
-            scale.backend = parseBackendOrDie(argv[++i]);
-        } else if (std::strncmp(argv[i], "--backend=", 10) == 0) {
-            scale.backend = parseBackendOrDie(argv[i] + 10);
-        }
+    bool quick = false;
+    std::string shard = std::to_string(scale.shard.index) + "/" +
+                        std::to_string(scale.shard.count);
+    std::string backend = sim::toString(scale.backend);
+    flags.add("--paper", scale.paperShots)
+        .add("--quick", quick)
+        .add("--faults", scale.faults)
+        .add("--jobs", scale.jobs)
+        .add("--trace", scale.traceDir)
+        .add("--metrics", scale.metrics)
+        .add("--no-metrics", scale.metrics, false)
+        .add("--history", scale.historyPath)
+        .add("--progress", scale.progress)
+        .add("--heartbeat", scale.heartbeatSecs)
+        .add("--shard", shard)
+        .add("--checkpoint", scale.checkpointDir)
+        .add("--resume", scale.resumeDir)
+        .add("--backend", backend);
+    std::string error =
+        flags.parse(std::vector<std::string>(argv + 1, argv + argc));
+    const std::optional<core::ShardSpec> spec = core::parseShardSpec(shard);
+    const std::optional<sim::BackendKind> kind =
+        sim::backendFromString(backend);
+    if (error.empty() && !spec)
+        error = "bad --shard '" + shard + "' (expected i/N with 0 <= i < N)";
+    if (error.empty() && !kind)
+        error = "bad --backend '" + backend +
+                "' (expected auto, statevector, density-matrix, "
+                "stabilizer or trajectory)";
+    if (!error.empty()) {
+        std::cerr << std::filesystem::path(argv[0]).filename().string()
+                  << ": " << error << "\n";
+        std::exit(report::kExitConfigMismatch);
     }
+    if (quick) {
+        scale.defaultShots = 150;
+        scale.repetitions = 2;
+    }
+    scale.shard = *spec;
+    scale.backend = *kind;
     return scale;
 }
 

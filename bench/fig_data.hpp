@@ -18,6 +18,7 @@
 #include "jobs/report.hpp"
 #include "report/checkpoint.hpp"
 #include "sim/backend.hpp"
+#include "util/cli.hpp"
 
 namespace smq::bench {
 
@@ -114,14 +115,16 @@ struct Scale
 };
 
 /**
- * Parse --paper / --quick / --faults / --jobs N / --trace DIR /
- * --metrics / --no-metrics / --history FILE / --progress /
- * --heartbeat SECS / --shard i/N / --checkpoint DIR / --resume DIR /
- * --backend NAME command-line flags. A malformed --shard or --backend
- * exits with code 2 (usage) instead of silently running the wrong
- * configuration.
+ * Parse the regenerator flags --paper / --quick / --faults / --jobs N /
+ * --trace DIR / --metrics / --no-metrics / --history FILE / --progress
+ * / --heartbeat SECS / --shard i/N / --checkpoint DIR / --resume DIR /
+ * --backend NAME, plus the caller's own @p flags, over @p defaults. An
+ * unknown flag, a missing value or a malformed number, shard or
+ * backend exits with report::kExitConfigMismatch (2, usage) before
+ * anything runs, instead of silently running another configuration.
  */
-Scale scaleFromArgs(int argc, char **argv);
+Scale scaleFromArgs(int argc, char **argv, util::Flags flags = {},
+                    Scale defaults = {});
 
 /**
  * Per-binary observability session: one of these at the top of a

@@ -17,8 +17,6 @@
  */
 
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <map>
 
@@ -27,22 +25,24 @@
 #include "jobs/report.hpp"
 #include "obs/metrics.hpp"
 #include "report/history.hpp"
+#include "util/cli.hpp"
 
 using namespace smq;
 
 int
 main(int argc, char **argv)
 {
-    obs::setMetricsEnabled(true);
-
     std::uint64_t seed = 7;
     std::string history_path;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--seed") == 0)
-            seed = std::strtoull(argv[i + 1], nullptr, 10);
-        else if (std::strcmp(argv[i], "--history") == 0)
-            history_path = argv[i + 1];
+    util::Flags flags;
+    flags.add("--seed", seed).add("--history", history_path);
+    const std::string error =
+        flags.parse(std::vector<std::string>(argv + 1, argv + argc));
+    if (!error.empty()) {
+        std::cerr << "job_report: " << error << "\n";
+        return 2;
     }
+    obs::setMetricsEnabled(true);
 
     // A fault schedule in the regime of a bad day on the cloud queue.
     jobs::FaultInjector injector(seed);

@@ -1,7 +1,6 @@
 #include "core/suites.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <functional>
 #include <numeric>
 #include <utility>
@@ -15,6 +14,7 @@
 #include "core/benchmarks/qaoa.hpp"
 #include "core/benchmarks/vqe.hpp"
 #include "qc/library.hpp"
+#include "util/cli.hpp"
 #include "util/seed.hpp"
 #include "util/thread_pool.hpp"
 
@@ -26,23 +26,6 @@ namespace {
  *  only has to be the same in every process of a sharded sweep). */
 constexpr std::uint64_t kShardStream = 0x5351u; // "SQ"
 
-/** Full-token decimal parse; rejects empty/partial/overflowing. */
-std::optional<std::size_t>
-parseShardNumber(std::string_view text)
-{
-    if (text.empty())
-        return std::nullopt;
-    std::size_t value = 0;
-    for (char c : text) {
-        if (!std::isdigit(static_cast<unsigned char>(c)))
-            return std::nullopt;
-        if (value > (SIZE_MAX - 9) / 10)
-            return std::nullopt;
-        value = value * 10 + static_cast<std::size_t>(c - '0');
-    }
-    return value;
-}
-
 } // namespace
 
 std::optional<ShardSpec>
@@ -51,8 +34,8 @@ parseShardSpec(std::string_view text)
     const std::size_t slash = text.find('/');
     if (slash == std::string_view::npos)
         return std::nullopt;
-    auto index = parseShardNumber(text.substr(0, slash));
-    auto count = parseShardNumber(text.substr(slash + 1));
+    auto index = util::parseUnsigned(text.substr(0, slash));
+    auto count = util::parseUnsigned(text.substr(slash + 1));
     if (!index || !count || *count == 0 || *index >= *count)
         return std::nullopt;
     return ShardSpec{*index, *count};

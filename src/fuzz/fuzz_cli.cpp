@@ -1,15 +1,12 @@
 #include "fuzz/fuzz_cli.hpp"
 
-#include <cctype>
-#include <exception>
-#include <optional>
-
 #include "fuzz/harness.hpp"
 #include "fuzz/planner_fuzz.hpp"
 #include "fuzz/protocol_fuzz.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "report/history.hpp"
+#include "util/cli.hpp"
 
 namespace smq::fuzz {
 
@@ -38,23 +35,6 @@ constexpr const char *kUsage =
     "                  auto-vs-forced byte-identity and TVD against\n"
     "                  exact references (uses --seed / --cases only)\n";
 
-/** Strict full-token unsigned parse (see report::sentinel_cli). */
-std::optional<std::uint64_t>
-parseU64(const std::string &text)
-{
-    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
-        return std::nullopt;
-    try {
-        std::size_t consumed = 0;
-        unsigned long long value = std::stoull(text, &consumed);
-        if (consumed != text.size())
-            return std::nullopt;
-        return static_cast<std::uint64_t>(value);
-    } catch (const std::exception &) {
-        return std::nullopt;
-    }
-}
-
 int
 usageError(std::ostream &err, const std::string &message)
 {
@@ -74,75 +54,34 @@ fuzzMain(const std::vector<std::string> &args, std::ostream &out,
     bool metrics = false;
     bool protocol = false;
     bool planner = false;
-
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &arg = args[i];
-        if (arg == "--help" || arg == "-h") {
-            out << kUsage;
-            return kFuzzOk;
-        }
-        if (arg == "--clifford") {
-            options.gen.cliffordOnly = true;
-            continue;
-        }
-        if (arg == "--no-mcm") {
-            options.gen.midCircuitMeasure = false;
-            options.gen.resets = false;
-            continue;
-        }
-        if (arg == "--no-shrink") {
-            options.shrinkFailures = false;
-            continue;
-        }
-        if (arg == "--metrics") {
-            metrics = true;
-            continue;
-        }
-        if (arg == "--protocol") {
-            protocol = true;
-            continue;
-        }
-        if (arg == "--planner") {
-            planner = true;
-            continue;
-        }
-        // every remaining flag takes a value
-        const bool takes_string = arg == "--out" || arg == "--history";
-        const bool takes_number = arg == "--seed" || arg == "--cases" ||
-                                  arg == "--jobs" ||
-                                  arg == "--min-qubits" ||
-                                  arg == "--max-qubits" ||
-                                  arg == "--max-gates";
-        if (!takes_string && !takes_number)
-            return usageError(err, "unknown flag " + arg);
-        if (i + 1 >= args.size())
-            return usageError(err, arg + " needs a value");
-        const std::string &value = args[++i];
-        if (arg == "--out") {
-            options.artifactDir = value;
-            continue;
-        }
-        if (arg == "--history") {
-            history = value;
-            continue;
-        }
-        auto parsed = parseU64(value);
-        if (!parsed)
-            return usageError(err, "bad value for " + arg + ": '" + value +
-                                       "'");
-        if (arg == "--seed") {
-            options.seed = *parsed;
-        } else if (arg == "--cases") {
-            options.cases = static_cast<std::size_t>(*parsed);
-        } else if (arg == "--jobs") {
-            options.jobs = static_cast<std::size_t>(*parsed);
-        } else if (arg == "--min-qubits") {
-            options.gen.minQubits = static_cast<std::size_t>(*parsed);
-        } else if (arg == "--max-qubits") {
-            options.gen.maxQubits = static_cast<std::size_t>(*parsed);
-        } else if (arg == "--max-gates") {
-            options.gen.maxGates = static_cast<std::size_t>(*parsed);
-        }
+    bool no_mcm = false;
+    bool help = false;
+    util::Flags flags;
+    flags.add("--help", help)
+        .add("--seed", options.seed)
+        .add("--cases", options.cases)
+        .add("--jobs", options.jobs)
+        .add("--clifford", options.gen.cliffordOnly)
+        .add("--min-qubits", options.gen.minQubits)
+        .add("--max-qubits", options.gen.maxQubits)
+        .add("--max-gates", options.gen.maxGates)
+        .add("--no-mcm", no_mcm)
+        .add("--no-shrink", options.shrinkFailures, false)
+        .add("--out", options.artifactDir)
+        .add("--history", history)
+        .add("--metrics", metrics)
+        .add("--protocol", protocol)
+        .add("--planner", planner);
+    const std::string error = flags.parse(args);
+    if (!error.empty())
+        return usageError(err, error);
+    if (help) {
+        out << kUsage;
+        return kFuzzOk;
+    }
+    if (no_mcm) {
+        options.gen.midCircuitMeasure = false;
+        options.gen.resets = false;
     }
     if (options.gen.minQubits < 1 ||
         options.gen.minQubits > options.gen.maxQubits ||

@@ -6,6 +6,10 @@
 #include <sstream>
 #include <stdexcept>
 
+// Header-only use: util::parseUnsigned is inline, so smq_obs still
+// links no other smq_* library.
+#include "util/cli.hpp"
+
 namespace smq::obs {
 
 namespace {
@@ -292,7 +296,10 @@ JsonValue::asU64() const
 {
     if (kind != Kind::Number)
         throw std::runtime_error("json: not a number");
-    return std::strtoull(text.c_str(), nullptr, 10);
+    const std::optional<std::uint64_t> value = util::parseUnsigned(text);
+    if (!value)
+        throw std::runtime_error("json: not an unsigned integer: " + text);
+    return *value;
 }
 
 const std::string &

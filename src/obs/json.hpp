@@ -43,6 +43,7 @@ class JsonValue
     /** @throws std::runtime_error on kind mismatch. */
     bool asBool() const;
     double asDouble() const;
+    /** Decimal digits only, within range ("-5", "1.5", "1e3" throw). */
     std::uint64_t asU64() const;
     const std::string &asString() const;
 };

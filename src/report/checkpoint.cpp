@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <fstream>
 #include <istream>
+#include <limits>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -14,6 +16,7 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
+#include "util/cli.hpp"
 
 namespace smq::report {
 
@@ -76,13 +79,11 @@ long
 envCellCount(const char *name)
 {
     const char *text = std::getenv(name);
-    if (text == nullptr || *text == '\0')
+    const std::optional<std::uint64_t> value =
+        text == nullptr ? std::nullopt : util::parseUnsigned(text);
+    if (!value || *value > std::numeric_limits<long>::max())
         return -1;
-    char *end = nullptr;
-    long value = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || value < 0)
-        return -1;
-    return value;
+    return static_cast<long>(*value);
 }
 
 CheckpointHeader

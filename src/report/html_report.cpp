@@ -463,13 +463,10 @@ renderHtmlReport(const ReportInputs &inputs)
             << "; transpile cache " << latest.cacheHits << " hits / "
             << latest.cacheMisses << " misses</p>\n";
 
-        std::vector<std::string> trace_dirs = inputs.traceDirs;
-        if (trace_dirs.empty() && !inputs.traceDir.empty())
-            trace_dirs.push_back(inputs.traceDir);
         std::string trace_note = "no trace directory given";
         std::vector<TraceSpan> spans;
-        if (!trace_dirs.empty())
-            spans = loadMultiProcessSpans(trace_dirs, trace_note);
+        if (!inputs.traceDirs.empty())
+            spans = loadMultiProcessSpans(inputs.traceDirs, trace_note);
         renderWaterfall(out, std::move(spans), trace_note);
 
         std::vector<const HistoryRecord *> series;

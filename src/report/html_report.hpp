@@ -9,7 +9,7 @@
  *
  * Sections, in order:
  *  1. run header — config/provenance of the newest record,
- *  2. span waterfall — per-thread lanes from `<traceDir>/trace.json`,
+ *  2. span waterfall — per-thread lanes from each `<dir>/trace.json`,
  *  3. stage table — per-stage rollups of the newest record, each row
  *     carrying a mean-duration trend sparkline across the history,
  *  4. score-vs-device matrix (Fig. 2 style) from `score.<b>@<d>`
@@ -33,15 +33,13 @@ struct ReportInputs
 {
     /** History records, oldest first (as loadHistory returns them). */
     std::vector<HistoryRecord> history;
-    /** Directory holding trace.json, or empty for no waterfall. */
-    std::string traceDir;
     /**
-     * Multi-process stitching: one trace.json directory per process
-     * (e.g. a submit client plus a daemon). When non-empty this list
-     * supersedes traceDir; each directory becomes one process in the
-     * waterfall, its spans time-normalized to its own first span so
-     * per-process clock epochs (steady-clock zero differs between
-     * processes) cannot make the merged view nondeterministic.
+     * One trace.json directory per process (e.g. a submit client plus
+     * a daemon), or none for no waterfall. Each directory becomes one
+     * process in the waterfall, its spans time-normalized to its own
+     * first span so per-process clock epochs (steady-clock zero
+     * differs between processes) cannot make the merged view
+     * nondeterministic.
      */
     std::vector<std::string> traceDirs;
     std::string title = "SupermarQ run report";

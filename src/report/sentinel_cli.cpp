@@ -1,10 +1,8 @@
 #include "report/sentinel_cli.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <exception>
 #include <filesystem>
-#include <optional>
 #include <ostream>
 
 #include "obs/fsio.hpp"
@@ -13,6 +11,7 @@
 #include "report/history.hpp"
 #include "report/html_report.hpp"
 #include "report/sentinel.hpp"
+#include "util/cli.hpp"
 
 namespace smq::report {
 
@@ -42,52 +41,6 @@ constexpr const char *kUsage =
     "      sweep's fig2_cache_*.txt); exit 1 when shards or cells\n"
     "      are missing\n";
 
-/** Tiny flag cursor over the args vector. */
-class Args
-{
-  public:
-    explicit Args(std::vector<std::string> args)
-        : args_(std::move(args))
-    {
-    }
-
-    /** Consume the next positional argument, if any. */
-    std::optional<std::string> positional()
-    {
-        for (std::size_t i = 0; i < args_.size(); ++i) {
-            if (args_[i].rfind("--", 0) != 0) {
-                std::string value = args_[i];
-                args_.erase(args_.begin() +
-                            static_cast<std::ptrdiff_t>(i));
-                return value;
-            }
-            ++i; // skip the flag's value
-        }
-        return std::nullopt;
-    }
-
-    /** Consume `--name VALUE`, if present. */
-    std::optional<std::string> flag(const std::string &name)
-    {
-        for (std::size_t i = 0; i + 1 < args_.size(); ++i) {
-            if (args_[i] == name) {
-                std::string value = args_[i + 1];
-                args_.erase(args_.begin() + static_cast<std::ptrdiff_t>(i),
-                            args_.begin() +
-                                static_cast<std::ptrdiff_t>(i + 2));
-                return value;
-            }
-        }
-        return std::nullopt;
-    }
-
-    /** Whatever was not consumed (unknown flags → usage error). */
-    const std::vector<std::string> &rest() const { return args_; }
-
-  private:
-    std::vector<std::string> args_;
-};
-
 int
 usageError(std::ostream &err, const std::string &message)
 {
@@ -96,83 +49,52 @@ usageError(std::ostream &err, const std::string &message)
 }
 
 /**
- * Full-token numeric parses. std::stod/std::stoul alone are not
- * enough: they partial-parse ("0.5abc" -> 0.5) and stoul silently
- * wraps negatives ("-1" -> huge), so malformed flag values would be
- * accepted instead of producing the documented usage exit code.
+ * Parse subcommand @p command's @p args against @p flags, collecting
+ * at most @p maxPositionals positionals. On a bad argument, prints the
+ * usage error and returns false.
  */
-std::optional<double>
-parseDoubleFlag(const std::string &text)
+bool
+parseArgs(std::ostream &err, const std::string &command,
+          const util::Flags &flags, const std::vector<std::string> &args,
+          std::vector<std::string> &positionals,
+          std::size_t maxPositionals)
 {
-    try {
-        std::size_t consumed = 0;
-        double value = std::stod(text, &consumed);
-        if (consumed != text.size())
-            return std::nullopt;
-        return value;
-    } catch (const std::exception &) {
-        return std::nullopt;
-    }
-}
-
-std::optional<std::size_t>
-parseSizeFlag(const std::string &text)
-{
-    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
-        return std::nullopt;
-    try {
-        std::size_t consumed = 0;
-        unsigned long value = std::stoul(text, &consumed);
-        if (consumed != text.size())
-            return std::nullopt;
-        return static_cast<std::size_t>(value);
-    } catch (const std::exception &) {
-        return std::nullopt;
-    }
+    std::string error = flags.parse(args, &positionals);
+    if (error.empty() && positionals.size() > maxPositionals)
+        error = "unexpected argument " + positionals[maxPositionals];
+    if (error.empty())
+        return true;
+    usageError(err, command + ": " + error);
+    return false;
 }
 
 int
-runCheck(Args &args, std::ostream &out, std::ostream &err)
+runCheck(const std::vector<std::string> &args, std::ostream &out,
+         std::ostream &err)
 {
-    auto perf_path = args.positional();
-    auto baseline = args.flag("--baseline");
-    if (!perf_path || !baseline)
-        return usageError(err, "check needs PERF_JSON and --baseline");
-
+    std::string baseline;
     SentinelOptions options;
-    if (auto v = args.flag("--threshold")) {
-        auto parsed = parseDoubleFlag(*v);
-        if (!parsed)
-            return usageError(err, "check: bad --threshold '" + *v + "'");
-        options.threshold = *parsed;
-    }
-    if (auto v = args.flag("--min-samples")) {
-        auto parsed = parseSizeFlag(*v);
-        if (!parsed)
-            return usageError(err, "check: bad --min-samples '" + *v + "'");
-        options.minSamples = *parsed;
-    }
-    if (auto v = args.flag("--window")) {
-        auto parsed = parseSizeFlag(*v);
-        if (!parsed)
-            return usageError(err, "check: bad --window '" + *v + "'");
-        options.window = *parsed;
-    }
-    if (auto v = args.flag("--tool"))
-        options.tool = *v;
-    if (!args.rest().empty())
-        return usageError(err, "check: unknown argument " +
-                                   args.rest().front());
+    util::Flags flags;
+    flags.add("--baseline", baseline)
+        .add("--threshold", options.threshold)
+        .add("--min-samples", options.minSamples)
+        .add("--window", options.window)
+        .add("--tool", options.tool);
+    std::vector<std::string> positionals;
+    if (!parseArgs(err, "check", flags, args, positionals, 1))
+        return kSentinelUsage;
+    if (positionals.empty() || baseline.empty())
+        return usageError(err, "check needs PERF_JSON and --baseline");
 
     PerfSnapshot current;
     try {
-        current = loadPerfJson(*perf_path);
+        current = loadPerfJson(positionals.front());
     } catch (const std::exception &e) {
         err << "smq_sentinel: " << e.what() << "\n";
         return kSentinelUsage;
     }
 
-    HistoryLoad load = loadHistory(*baseline);
+    HistoryLoad load = loadHistory(baseline);
     CheckReport report = checkPerf(current, load.records, options);
     out << report.render();
     if (load.skippedLines > 0) {
@@ -193,20 +115,22 @@ runCheck(Args &args, std::ostream &out, std::ostream &err)
 }
 
 int
-runBaseline(Args &args, std::ostream &out, std::ostream &err)
+runBaseline(const std::vector<std::string> &args, std::ostream &out,
+            std::ostream &err)
 {
-    auto perf_path = args.positional();
-    if (!perf_path)
+    std::string history = "runs.jsonl";
+    util::Flags flags;
+    flags.add("--history", history);
+    std::vector<std::string> positionals;
+    if (!parseArgs(err, "baseline", flags, args, positionals, 1))
+        return kSentinelUsage;
+    if (positionals.empty())
         return usageError(err, "baseline needs PERF_JSON");
-    const std::string history =
-        args.flag("--history").value_or("runs.jsonl");
-    if (!args.rest().empty())
-        return usageError(err, "baseline: unknown argument " +
-                                   args.rest().front());
+    const std::string &perf_path = positionals.front();
 
     HistoryRecord record;
     try {
-        record = historyFromPerf(loadPerfJson(*perf_path));
+        record = historyFromPerf(loadPerfJson(perf_path));
     } catch (const std::exception &e) {
         err << "smq_sentinel: " << e.what() << "\n";
         return kSentinelUsage;
@@ -215,31 +139,33 @@ runBaseline(Args &args, std::ostream &out, std::ostream &err)
         err << "smq_sentinel: cannot append to " << history << "\n";
         return kSentinelUsage;
     }
-    out << "promoted " << *perf_path << " (" << record.stages.size()
+    out << "promoted " << perf_path << " (" << record.stages.size()
         << " stages) into " << history << "\n";
     return kSentinelOk;
 }
 
 int
-runIngest(Args &args, std::ostream &out, std::ostream &err)
+runIngest(const std::vector<std::string> &args, std::ostream &out,
+          std::ostream &err)
 {
-    auto dir = args.positional();
-    if (!dir)
+    std::string history = "runs.jsonl";
+    util::Flags flags;
+    flags.add("--history", history);
+    std::vector<std::string> positionals;
+    if (!parseArgs(err, "ingest", flags, args, positionals, 1))
+        return kSentinelUsage;
+    if (positionals.empty())
         return usageError(err, "ingest needs DIR");
-    const std::string history =
-        args.flag("--history").value_or("runs.jsonl");
-    if (!args.rest().empty())
-        return usageError(err, "ingest: unknown argument " +
-                                   args.rest().front());
+    const std::string &dir = positionals.front();
 
     namespace fs = std::filesystem;
     std::error_code ec;
-    if (!fs::is_directory(*dir, ec)) {
-        err << "smq_sentinel: not a directory: " << *dir << "\n";
+    if (!fs::is_directory(dir, ec)) {
+        err << "smq_sentinel: not a directory: " << dir << "\n";
         return kSentinelUsage;
     }
     std::vector<std::string> manifests;
-    for (fs::recursive_directory_iterator it(*dir, ec), end;
+    for (fs::recursive_directory_iterator it(dir, ec), end;
          it != end && !ec; it.increment(ec)) {
         const fs::path &p = it->path();
         const std::string name = p.filename().string();
@@ -275,26 +201,23 @@ runIngest(Args &args, std::ostream &out, std::ostream &err)
 }
 
 int
-runReport(Args &args, std::ostream &out, std::ostream &err)
+runReport(const std::vector<std::string> &args, std::ostream &out,
+          std::ostream &err)
 {
-    const std::string history =
-        args.flag("--history").value_or("runs.jsonl");
-    const std::string out_path =
-        args.flag("--out").value_or("report.html");
-    const std::string merged_path =
-        args.flag("--merged-trace").value_or("");
+    std::string history = "runs.jsonl";
+    std::string out_path = "report.html";
+    std::string merged_path;
     ReportInputs inputs;
-    // --trace repeats: each occurrence is one process's trace dir
-    // (Args::flag consumes the first occurrence per call).
-    while (auto dir = args.flag("--trace"))
-        inputs.traceDirs.push_back(*dir);
-    if (auto title = args.flag("--title"))
-        inputs.title = *title;
-    if (auto stray = args.positional())
-        return usageError(err, "report: unknown argument " + *stray);
-    if (!args.rest().empty())
-        return usageError(err, "report: unknown argument " +
-                                   args.rest().front());
+    util::Flags flags;
+    // --trace repeats: each occurrence is one process's trace dir.
+    flags.add("--history", history)
+        .add("--out", out_path)
+        .add("--merged-trace", merged_path)
+        .add("--trace", inputs.traceDirs)
+        .add("--title", inputs.title);
+    std::vector<std::string> positionals;
+    if (!parseArgs(err, "report", flags, args, positionals, 0))
+        return kSentinelUsage;
 
     HistoryLoad load = loadHistory(history);
     inputs.history = std::move(load.records);
@@ -324,19 +247,16 @@ runReport(Args &args, std::ostream &out, std::ostream &err)
 }
 
 int
-runCompact(Args &args, std::ostream &out, std::ostream &err)
+runCompact(const std::vector<std::string> &args, std::ostream &out,
+           std::ostream &err)
 {
-    const std::string history =
-        args.flag("--history").value_or("runs.jsonl");
-    std::size_t keep = 0;
-    if (auto v = args.flag("--keep")) {
-        auto parsed = parseSizeFlag(*v);
-        if (!parsed)
-            return usageError(err, "compact: bad --keep '" + *v + "'");
-        keep = *parsed;
-    }
-    if (auto stray = args.positional())
-        return usageError(err, "compact: unknown argument " + *stray);
+    std::string history = "runs.jsonl";
+    std::uint64_t keep = 0;
+    util::Flags flags;
+    flags.add("--history", history).add("--keep", keep);
+    std::vector<std::string> positionals;
+    if (!parseArgs(err, "compact", flags, args, positionals, 0))
+        return kSentinelUsage;
 
     const HistoryLoad before = loadHistory(history);
     if (!compactHistory(history, keep)) {
@@ -351,19 +271,18 @@ runCompact(Args &args, std::ostream &out, std::ostream &err)
 }
 
 int
-runMerge(Args &args, std::ostream &out, std::ostream &err)
+runMerge(const std::vector<std::string> &args, std::ostream &out,
+         std::ostream &err)
 {
-    const std::string out_path =
-        args.flag("--out").value_or("merged_grid.txt");
-    const std::string history = args.flag("--history").value_or("");
+    std::string out_path = "merged_grid.txt";
+    std::string history;
+    util::Flags flags;
+    flags.add("--out", out_path).add("--history", history);
     std::vector<std::string> dirs;
-    while (auto dir = args.positional())
-        dirs.push_back(*dir);
+    if (!parseArgs(err, "merge", flags, args, dirs, args.size()))
+        return kSentinelUsage;
     if (dirs.empty())
         return usageError(err, "merge needs at least one checkpoint DIR");
-    if (!args.rest().empty())
-        return usageError(err, "merge: unknown argument " +
-                                   args.rest().front());
 
     MergedGrid merged;
     try {
@@ -441,7 +360,7 @@ sentinelMain(const std::vector<std::string> &args, std::ostream &out,
     if (args.empty())
         return usageError(err, "missing subcommand");
     const std::string &command = args.front();
-    Args rest(std::vector<std::string>(args.begin() + 1, args.end()));
+    const std::vector<std::string> rest(args.begin() + 1, args.end());
     if (command == "check")
         return runCheck(rest, out, err);
     if (command == "baseline")

@@ -1,8 +1,5 @@
 #include "serve/protocol.hpp"
 
-#include <cctype>
-#include <cerrno>
-#include <cstdlib>
 #include <exception>
 #include <sstream>
 
@@ -11,32 +8,6 @@
 namespace smq::serve {
 
 namespace {
-
-/**
- * Strict u64 field read: the JSON number must be a plain non-negative
- * integer literal in range. obs::JsonValue::asU64 alone would let
- * "-5" wrap and "1.5" partial-parse, so out-of-domain values would
- * silently become huge shot counts instead of bad_field replies.
- */
-std::optional<std::uint64_t>
-readU64(const obs::JsonValue &value)
-{
-    if (value.kind != obs::JsonValue::Kind::Number)
-        return std::nullopt;
-    const std::string &text = value.text;
-    if (text.empty())
-        return std::nullopt;
-    for (char c : text) {
-        if (!std::isdigit(static_cast<unsigned char>(c)))
-            return std::nullopt;
-    }
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
-    if (errno == ERANGE || end != text.c_str() + text.size())
-        return std::nullopt;
-    return static_cast<std::uint64_t>(parsed);
-}
 
 ParsedRequest
 fail(ErrorCode code, std::string message)
@@ -47,7 +18,11 @@ fail(ErrorCode code, std::string message)
     return outcome;
 }
 
-/** Read an optional bounded u64 field into @p target. */
+/**
+ * Read an optional bounded u64 field into @p target. asU64 takes a
+ * plain non-negative integer literal in range only, so "-5", "1.5"
+ * and "1e3" are bad_field replies, not huge or truncated shot counts.
+ */
 bool
 takeU64(const obs::JsonValue &object, const char *name,
         std::uint64_t minimum, std::uint64_t maximum,
@@ -56,7 +31,12 @@ takeU64(const obs::JsonValue &object, const char *name,
     const obs::JsonValue *field = object.find(name);
     if (field == nullptr)
         return true;
-    std::optional<std::uint64_t> value = readU64(*field);
+    std::optional<std::uint64_t> value;
+    try {
+        value = field->asU64();
+    } catch (const std::exception &) {
+        // not a whole number: value stays empty
+    }
     if (!value || *value < minimum || *value > maximum) {
         std::ostringstream message;
         message << name << " must be an integer in [" << minimum << ", "

@@ -1,6 +1,5 @@
 #include "serve/serve_cli.hpp"
 
-#include <cctype>
 #include <exception>
 #include <istream>
 #include <limits>
@@ -17,6 +16,7 @@
 #include "obs/trace_context.hpp"
 #include "serve/server.hpp"
 #include "serve/socket.hpp"
+#include "util/cli.hpp"
 #include "util/stop.hpp"
 
 namespace smq::serve {
@@ -43,24 +43,6 @@ constexpr const char *kUsage =
     "\n"
     "exit codes: 0 clean drain, 75 socket already served,\n"
     "            74 bind or manifest-write failure, 2 usage\n";
-
-/** Full-token unsigned parse (stoul partial-parses and wraps signs). */
-std::optional<std::size_t>
-parseSize(const std::string &text)
-{
-    if (text.empty() ||
-        !std::isdigit(static_cast<unsigned char>(text[0])))
-        return std::nullopt;
-    try {
-        std::size_t consumed = 0;
-        unsigned long value = std::stoul(text, &consumed);
-        if (consumed != text.size())
-            return std::nullopt;
-        return static_cast<std::size_t>(value);
-    } catch (const std::exception &) {
-        return std::nullopt;
-    }
-}
 
 int
 usageError(std::ostream &err, const std::string &message)
@@ -91,79 +73,44 @@ serveMain(const std::vector<std::string> &args, std::istream &in,
     ServerOptions options;
     std::string socket_path;
     std::string trace_dir;
+    std::string backend = sim::toString(options.backend);
+    std::uint64_t cache_mb = options.cacheBytes >> 20;
     bool pipe_mode = false;
     bool metrics = true;
-
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &arg = args[i];
-        auto value = [&]() -> std::optional<std::string> {
-            if (i + 1 >= args.size())
-                return std::nullopt;
-            return args[++i];
-        };
-        if (arg == "--socket") {
-            auto v = value();
-            if (!v)
-                return usageError(err, "--socket needs PATH");
-            socket_path = *v;
-        } else if (arg == "--pipe") {
-            pipe_mode = true;
-        } else if (arg == "--workers") {
-            auto v = value();
-            auto n = v ? parseSize(*v) : std::nullopt;
-            if (!n)
-                return usageError(err, "bad --workers value");
-            options.workers = *n;
-        } else if (arg == "--queue-limit") {
-            auto v = value();
-            auto n = v ? parseSize(*v) : std::nullopt;
-            if (!n || *n == 0)
-                return usageError(err, "bad --queue-limit value");
-            options.queueLimit = *n;
-        } else if (arg == "--cache-mb") {
-            auto v = value();
-            auto n = v ? parseSize(*v) : std::nullopt;
-            // N MiB is N << 20 bytes, which would wrap past SIZE_MAX.
-            if (!n || *n > std::numeric_limits<std::size_t>::max() >> 20)
-                return usageError(err, "bad --cache-mb value");
-            options.cacheBytes = *n << 20;
-        } else if (arg == "--max-sim-qubits") {
-            auto v = value();
-            auto n = v ? parseSize(*v) : std::nullopt;
-            if (!n || *n == 0)
-                return usageError(err, "bad --max-sim-qubits value");
-            options.maxSimQubits = *n;
-        } else if (arg == "--backend") {
-            auto v = value();
-            auto kind =
-                v ? sim::backendFromString(*v) : std::nullopt;
-            if (!kind)
-                return usageError(err, "bad --backend value");
-            options.backend = *kind;
-        } else if (arg == "--manifest-dir") {
-            auto v = value();
-            if (!v)
-                return usageError(err, "--manifest-dir needs DIR");
-            options.manifestDir = *v;
-        } else if (arg == "--trace") {
-            auto v = value();
-            if (!v)
-                return usageError(err, "--trace needs DIR");
-            trace_dir = *v;
-        } else if (arg == "--metrics-file") {
-            auto v = value();
-            if (!v)
-                return usageError(err, "--metrics-file needs PATH");
-            options.metricsFile = *v;
-        } else if (arg == "--no-metrics") {
-            metrics = false;
-        } else if (arg == "--help") {
-            out << kUsage;
-            return kServeOk;
-        } else {
-            return usageError(err, "unknown argument: " + arg);
-        }
+    bool help = false;
+    util::Flags flags;
+    flags.add("--socket", socket_path)
+        .add("--pipe", pipe_mode)
+        .add("--workers", options.workers)
+        .add("--queue-limit", options.queueLimit)
+        .add("--cache-mb", cache_mb)
+        .add("--max-sim-qubits", options.maxSimQubits)
+        .add("--backend", backend)
+        .add("--manifest-dir", options.manifestDir)
+        .add("--trace", trace_dir)
+        .add("--metrics-file", options.metricsFile)
+        .add("--no-metrics", metrics, false)
+        .add("--help", help);
+    const std::string error = flags.parse(args);
+    if (!error.empty())
+        return usageError(err, error);
+    if (help) {
+        out << kUsage;
+        return kServeOk;
     }
+    if (options.queueLimit == 0)
+        return usageError(err, "bad --queue-limit value");
+    // N MiB is N << 20 bytes, which would wrap past SIZE_MAX.
+    if (cache_mb > std::numeric_limits<std::size_t>::max() >> 20)
+        return usageError(err, "bad --cache-mb value");
+    options.cacheBytes = cache_mb << 20;
+    if (options.maxSimQubits == 0)
+        return usageError(err, "bad --max-sim-qubits value");
+    const std::optional<sim::BackendKind> kind =
+        sim::backendFromString(backend);
+    if (!kind)
+        return usageError(err, "bad --backend value");
+    options.backend = *kind;
     if (pipe_mode == !socket_path.empty())
         return usageError(err,
                           "exactly one of --socket and --pipe required");
@@ -261,67 +208,25 @@ submitMain(const std::vector<std::string> &args, std::ostream &out,
     std::string socket_path, benchmark, device, trace_dir;
     std::uint64_t shots = 2000, repetitions = 3, seed = 12345;
     std::uint64_t fault_seed = 0;
-    bool faults = false, wait = true;
-
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &arg = args[i];
-        auto value = [&]() -> std::optional<std::string> {
-            if (i + 1 >= args.size())
-                return std::nullopt;
-            return args[++i];
-        };
-        auto number = [&](const char *flag,
-                          std::uint64_t &target) -> bool {
-            auto v = value();
-            auto n = v ? parseSize(*v) : std::nullopt;
-            if (!n)
-                return false;
-            target = *n;
-            (void)flag;
-            return true;
-        };
-        if (arg == "--socket") {
-            auto v = value();
-            if (!v)
-                return submitUsageError(err, "--socket needs PATH");
-            socket_path = *v;
-        } else if (arg == "--benchmark") {
-            auto v = value();
-            if (!v)
-                return submitUsageError(err, "--benchmark needs NAME");
-            benchmark = *v;
-        } else if (arg == "--device") {
-            auto v = value();
-            if (!v)
-                return submitUsageError(err, "--device needs NAME");
-            device = *v;
-        } else if (arg == "--shots") {
-            if (!number("--shots", shots))
-                return submitUsageError(err, "bad --shots value");
-        } else if (arg == "--repetitions") {
-            if (!number("--repetitions", repetitions))
-                return submitUsageError(err, "bad --repetitions value");
-        } else if (arg == "--seed") {
-            if (!number("--seed", seed))
-                return submitUsageError(err, "bad --seed value");
-        } else if (arg == "--fault-seed") {
-            if (!number("--fault-seed", fault_seed))
-                return submitUsageError(err, "bad --fault-seed value");
-        } else if (arg == "--faults") {
-            faults = true;
-        } else if (arg == "--no-wait") {
-            wait = false;
-        } else if (arg == "--trace") {
-            auto v = value();
-            if (!v)
-                return submitUsageError(err, "--trace needs DIR");
-            trace_dir = *v;
-        } else if (arg == "--help") {
-            out << kSubmitUsageText;
-            return kSubmitOk;
-        } else {
-            return submitUsageError(err, "unknown argument: " + arg);
-        }
+    bool faults = false, wait = true, help = false;
+    util::Flags flags;
+    flags.add("--socket", socket_path)
+        .add("--benchmark", benchmark)
+        .add("--device", device)
+        .add("--shots", shots)
+        .add("--repetitions", repetitions)
+        .add("--seed", seed)
+        .add("--fault-seed", fault_seed)
+        .add("--faults", faults)
+        .add("--no-wait", wait, false)
+        .add("--trace", trace_dir)
+        .add("--help", help);
+    const std::string usage = flags.parse(args);
+    if (!usage.empty())
+        return submitUsageError(err, usage);
+    if (help) {
+        out << kSubmitUsageText;
+        return kSubmitOk;
     }
     if (socket_path.empty() || benchmark.empty() || device.empty())
         return submitUsageError(

@@ -2,10 +2,12 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <iostream>
 #include <limits>
 
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
+#include "util/cli.hpp"
 
 namespace smq::sim {
 
@@ -13,16 +15,24 @@ namespace {
 
 constexpr std::size_t kDefaultBudget = std::size_t{4} << 30; // 4 GiB
 
+/**
+ * SMQ_SIM_MEM_MB, a whole number of MiB whose byte count fits a
+ * size_t; anything else keeps the default, with one warning.
+ */
 std::size_t
 defaultBudget()
 {
     const char *env = std::getenv("SMQ_SIM_MEM_MB");
-    if (env != nullptr) {
-        char *end = nullptr;
-        unsigned long long mb = std::strtoull(env, &end, 10);
-        if (end != env && *end == '\0' && mb > 0)
-            return static_cast<std::size_t>(mb) << 20;
-    }
+    if (env == nullptr)
+        return kDefaultBudget;
+    constexpr std::uint64_t kMaxMb =
+        std::numeric_limits<std::size_t>::max() >> 20;
+    const std::optional<std::uint64_t> mb = util::parseUnsigned(env);
+    if (mb && *mb > 0 && *mb <= kMaxMb)
+        return static_cast<std::size_t>(*mb) << 20;
+    std::cerr << "warning: ignoring SMQ_SIM_MEM_MB='" << env
+              << "' (want MiB from 1 to " << kMaxMb << "); keeping the "
+              << (kDefaultBudget >> 20) << " MiB default\n";
     return kDefaultBudget;
 }
 

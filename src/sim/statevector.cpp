@@ -1031,8 +1031,9 @@ StateVector::expectation(const qc::PauliString &pauli) const
 {
     if (pauli.numQubits() != numQubits_)
         throw std::invalid_argument("StateVector: Pauli size mismatch");
-    // Apply P = i^r X^x Z^z to a copy: for basis state |s>,
-    // Z^z contributes (-1)^(z . s) and X^x maps |s> -> |s ^ x>.
+    // <psi|P|psi> for P = i^r X^x Z^z, summed in one pass over the
+    // amplitudes with no copy of the state: for basis state |s>, Z^z
+    // contributes (-1)^(z . s) and X^x maps |s> -> |s ^ x>.
     std::size_t xmask = 0, zmask = 0;
     for (std::size_t q = 0; q < numQubits_; ++q) {
         if (pauli.xBit(q))

@@ -583,6 +583,20 @@ TEST(ObsJson, NumberWriterKeepsSeventeenDigitsAndZeroesNonFinite)
     EXPECT_EQ(text(std::numeric_limits<double>::quiet_NaN()), "0");
 }
 
+TEST(ObsJson, AsU64TakesWholeUnsignedIntegersOnly)
+{
+    // A count read back from a history line, a journal, a manifest or
+    // a request is the number written, or an error: never a wrapped
+    // sign, a truncated fraction or a mantissa without its exponent.
+    for (const char *bad : {"-5", "1.5", "1e3", "18446744073709551616"})
+        EXPECT_THROW(obs::parseJson(bad).asU64(), std::runtime_error)
+            << bad;
+    EXPECT_THROW(obs::parseJson("\"5\"").asU64(), std::runtime_error);
+    EXPECT_EQ(obs::parseJson("18446744073709551615").asU64(),
+              std::numeric_limits<std::uint64_t>::max());
+    EXPECT_EQ(obs::parseJson("0").asU64(), 0u);
+}
+
 TEST(ObsDeterminism, GridByteIdenticalWithTracingOnAtAnyJobs)
 {
     // Baseline: everything off, serial.

@@ -25,6 +25,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "fig_data.hpp"
@@ -244,6 +245,43 @@ TEST_F(ReportTest, LoadSkipsCorruptTailAndCompactionDropsIt)
     ASSERT_EQ(load.records.size(), 1u);
     EXPECT_EQ(load.records[0].stages["fig2_grid_serial"].totalNs,
               static_cast<std::uint64_t>(110.0 * 1e6));
+}
+
+TEST_F(ReportTest, LoadCountsANonIntegerCountAsCorruptAndCompactDropsIt)
+{
+    // shots -1, repetitions 1.5 and jobs 1e3 once loaded as 2^64 - 1,
+    // 1 and 1, and compact wrote those values back as if measured.
+    const std::filesystem::path dir = freshDir("report_bad_counts");
+    const std::string store = (dir / "runs.jsonl").string();
+    ASSERT_TRUE(report::appendHistory(store, sampleRecord()));
+    const std::string good = sampleRecord().toJsonLine();
+    for (const auto &[from, to] :
+         {std::pair{"\"shots\":100", "\"shots\":-1"},
+          std::pair{"\"repetitions\":2", "\"repetitions\":1.5"},
+          std::pair{"\"jobs\":4", "\"jobs\":1e3"},
+          std::pair{"\"seed\":7", "\"seed\":18446744073709551616"}}) {
+        std::string line = good;
+        const std::size_t at = line.find(from);
+        ASSERT_NE(at, std::string::npos) << from;
+        line.replace(at, std::string(from).size(), to);
+        ASSERT_TRUE(obs::appendLineDurable(store, line));
+    }
+    report::HistoryLoad load = report::loadHistory(store);
+    EXPECT_EQ(load.records.size(), 1u);
+    EXPECT_EQ(load.skippedLines, 4u);
+
+    std::ostringstream out, err;
+    EXPECT_EQ(report::sentinelMain({"compact", "--history", store}, out,
+                                   err),
+              report::kSentinelOk)
+        << err.str();
+    EXPECT_NE(out.str().find("4 corrupt line(s) dropped"),
+              std::string::npos)
+        << out.str();
+    load = report::loadHistory(store);
+    ASSERT_EQ(load.records.size(), 1u);
+    EXPECT_EQ(load.skippedLines, 0u);
+    EXPECT_EQ(load.records[0].toJsonLine(), good);
 }
 
 TEST_F(ReportTest, LoadAcceptsNewerSchemaVersionsAndSkipsForeignOnes)
@@ -684,7 +722,7 @@ TEST_F(ReportTest, HtmlReportRoundTripsFromARealTracedGridRun)
 
     report::ReportInputs inputs;
     inputs.history = load.records;
-    inputs.traceDir = scale.traceDir;
+    inputs.traceDirs = {scale.traceDir};
     const std::string html = report::renderHtmlReport(inputs);
 
     EXPECT_NE(html.find("<!DOCTYPE html>"), std::string::npos);
@@ -720,7 +758,7 @@ TEST_F(ReportTest, HtmlReportDegradesGracefullyWithoutInputs)
     EXPECT_NE(html.find("store is empty"), std::string::npos);
 
     inputs.history = {sampleRecord()};
-    inputs.traceDir = "/nonexistent/trace/dir";
+    inputs.traceDirs = {"/nonexistent/trace/dir"};
     const std::string with_note = report::renderHtmlReport(inputs);
     EXPECT_NE(with_note.find("no trace.json"), std::string::npos);
 

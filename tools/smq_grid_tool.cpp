@@ -14,15 +14,14 @@
  *                      format) for byte-identity comparisons
  *     --benchmarks K   first K benchmarks of the quick suite
  *     --devices K      first K devices of the device table
- *     --shots N        shots per circuit per repetition
+ *     --shots N        shots per circuit per repetition (at least 1)
  *
  * Exit codes: 0 complete; 75 interrupted (resume me); 74 journal or
  * output write failure; 2 usage / foreign resume journal.
  */
 
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <limits>
 
 #include "device/device.hpp"
 #include "fig_data.hpp"
@@ -31,57 +30,32 @@
 
 using namespace smq;
 
-namespace {
-
-std::size_t
-sizeFlag(int argc, char **argv, const char *name, std::size_t fallback)
-{
-    const std::size_t name_len = std::strlen(name);
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], name) == 0 && i + 1 < argc)
-            return static_cast<std::size_t>(
-                std::strtoul(argv[i + 1], nullptr, 10));
-        if (std::strncmp(argv[i], name, name_len) == 0 &&
-            argv[i][name_len] == '=')
-            return static_cast<std::size_t>(
-                std::strtoul(argv[i] + name_len + 1, nullptr, 10));
-    }
-    return fallback;
-}
-
-std::string
-stringFlag(int argc, char **argv, const char *name)
-{
-    const std::size_t name_len = std::strlen(name);
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], name) == 0 && i + 1 < argc)
-            return argv[i + 1];
-        if (std::strncmp(argv[i], name, name_len) == 0 &&
-            argv[i][name_len] == '=')
-            return argv[i] + name_len + 1;
-    }
-    return "";
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    bench::Scale scale = bench::scaleFromArgs(argc, argv);
+    std::uint64_t shots = 60;
+    std::uint64_t n_bench = std::numeric_limits<std::uint64_t>::max();
+    std::uint64_t n_dev = std::numeric_limits<std::uint64_t>::max();
+    std::string out_path;
+    util::Flags flags;
+    flags.add("--shots", shots)
+        .add("--benchmarks", n_bench)
+        .add("--devices", n_dev)
+        .add("--out", out_path);
+    bench::Scale scale = bench::scaleFromArgs(argc, argv, flags);
+    if (shots == 0) {
+        std::cerr << "smq_grid_tool: --shots must be at least 1\n";
+        return report::kExitConfigMismatch;
+    }
     scale.useCache = false;
-    scale.defaultShots = sizeFlag(argc, argv, "--shots", 60);
+    scale.defaultShots = shots;
     scale.repetitions = 2;
 
     std::vector<core::BenchmarkPtr> suite = core::quickSuite();
-    const std::size_t n_bench =
-        sizeFlag(argc, argv, "--benchmarks", suite.size());
     if (n_bench < suite.size())
         suite.resize(n_bench);
 
     std::vector<device::Device> devices = device::allDevices();
-    const std::size_t n_dev =
-        sizeFlag(argc, argv, "--devices", devices.size());
     if (n_dev < devices.size())
         devices.resize(n_dev);
 
@@ -92,7 +66,6 @@ main(int argc, char **argv)
         return outcome.exitCode();
     }
 
-    const std::string out_path = stringFlag(argc, argv, "--out");
     if (!out_path.empty()) {
         std::string error;
         if (!obs::atomicWriteFile(out_path,
