@@ -50,6 +50,8 @@ main(int argc, char **argv)
         return outcome.exitCode();
     }
     bench::Fig2Grid &grid = outcome.grid;
+    if (!outcome.fromCache)
+        bench::printCellReport(std::cerr, grid);
     bench::noteGridScores(obs_session, grid);
 
     std::vector<std::string> headers = {"benchmark"};

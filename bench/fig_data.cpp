@@ -441,15 +441,6 @@ computeGrid(const Scale &scale,
         outcome.storageError = true;
         outcome.storageDetail = writer.error();
     }
-
-    // Progress report after the fact, in deterministic grid order.
-    for (const GridRow &row : grid.rows) {
-        for (std::size_t d = 0; d < n_devices; ++d) {
-            std::cerr << "  " << row.benchmark << " @ "
-                      << grid.deviceNames[d] << " = "
-                      << jobs::cellText(row.runs[d]) << "\n";
-        }
-    }
     return outcome;
 }
 
@@ -464,6 +455,7 @@ computeFig2GridOutcome(const Scale &scale)
     GridOutcome outcome;
     if (cacheable && loadGrid(outcome.grid, scale)) {
         std::cerr << "(reusing cached grid " << cachePath(scale) << ")\n";
+        outcome.fromCache = true;
         return outcome;
     }
     outcome = computeGrid(scale, core::figure2Benchmarks(scale.jobs),
@@ -477,6 +469,17 @@ Fig2Grid
 computeFig2Grid(const Scale &scale)
 {
     return computeFig2GridOutcome(scale).grid;
+}
+
+void
+printCellReport(std::ostream &out, const Fig2Grid &grid)
+{
+    for (const GridRow &row : grid.rows) {
+        for (std::size_t d = 0; d < row.runs.size(); ++d) {
+            out << "  " << row.benchmark << " @ " << grid.deviceNames[d]
+                << " = " << jobs::cellText(row.runs[d]) << "\n";
+        }
+    }
 }
 
 std::vector<std::vector<core::ScoredInstance>>

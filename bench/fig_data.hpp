@@ -9,6 +9,7 @@
 #define SMQ_BENCH_FIG_DATA_HPP
 
 #include <map>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -174,6 +175,8 @@ private:
 struct GridOutcome
 {
     Fig2Grid grid;
+    /** The grid came from the fig2 cache: no cell ran. */
+    bool fromCache = false;
     /**
      * Cooperative shutdown (SIGINT/SIGTERM, or SMQ_STOP_AFTER_CELLS)
      * cut the sweep short: unclaimed cells are Skipped/Interrupted,
@@ -219,6 +222,13 @@ GridOutcome computeFig2GridOutcome(const Scale &scale);
 
 /** computeFig2GridOutcome for callers without resilience flags. */
 Fig2Grid computeFig2Grid(const Scale &scale);
+
+/**
+ * Write the cell report, one "  benchmark @ device = cell" line per
+ * cell in grid order, to @p out: what the grid front ends print to
+ * stderr once they have computed a grid.
+ */
+void printCellReport(std::ostream &out, const Fig2Grid &grid);
 
 /** Fold a grid into per-device scored instances for Figs. 3 and 4. */
 std::vector<std::vector<core::ScoredInstance>>

@@ -51,6 +51,7 @@ inline constexpr const char *kSimShots = "sim.shots";
 inline constexpr const char *kSimTrajectories = "sim.trajectories";
 inline constexpr const char *kSimTrajectoryBatches =
     "sim.trajectory.batches";
+inline constexpr const char *kSimTrajectoryStates = "sim.trajectory.states";
 
 // --- counters: backend planner (sim/planner.*, sim/runner.cpp) -------
 // One bump per dispatched circuit execution, keyed by the engine the

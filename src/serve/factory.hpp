@@ -22,9 +22,12 @@
  * from its circuits is stable across daemon restarts. For QAOA that
  * is not the batch tools' instance: the name carries no seed, and
  * figure2Benchmarks() builds SK seed N, quickSuite() seed 3, this
- * factory seed 1. So qaoa_vanilla_4 names three different instances,
- * and no submit reproduces a Fig. 2 QAOA cell. Every other name
- * builds the instance the batch tools build.
+ * factory seed 1. Seeds 3 and 4 draw the same 4-qubit couplings
+ * (-1 +1 -1 +1 -1 +1), so quickSuite()'s qaoa_vanilla_4 and
+ * qaoa_zzswap_4 are Fig. 2's instances; seed 1 draws +1 +1 +1 +1 +1
+ * -1, so qaoa_vanilla_4 names two different instances, and no submit
+ * reproduces a Fig. 2 QAOA cell. Every other name builds the instance
+ * the batch tools build.
  */
 
 #ifndef SMQ_SERVE_FACTORY_HPP

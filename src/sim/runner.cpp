@@ -46,13 +46,16 @@ countPlan(const Plan &plan, bool forced)
 }
 
 /** A trajectory batch holds at most this many lanes. */
-constexpr std::size_t kMaxLanes = 16;
+constexpr std::size_t kMaxLanes = 256;
 
 /**
  * Lanes per batch at @p width: at most kMaxLanes, which bounds the
- * per-lane rng state, and lanes x 2^width <= kReduceGrain, which keeps
- * a batch small and each lane's P(1) one reduce chunk. Widths >= 14
- * run one lane.
+ * per-lane rng state (~2.5 KB a lane), and lanes x 2^width <=
+ * kReduceGrain, which keeps the batch's buffer (room for one state a
+ * lane) within 256 KB and each state's P(1) one reduce chunk. Lanes
+ * share a state while their draws agree, so a wider batch shares
+ * more: widths 5-6 run a whole 150-shot repetition in one batch, and
+ * widths >= 14 one lane.
  */
 std::size_t
 laneCap(std::size_t width)
@@ -61,16 +64,19 @@ laneCap(std::size_t width)
     return std::clamp<std::size_t>(fit, 1, kMaxLanes);
 }
 
-/** Count one batch of @p lanes stochastic trajectories. */
+/** Count one batch of @p lanes stochastic trajectories on @p states. */
 void
-countBatch(std::size_t lanes)
+countBatch(std::size_t lanes, std::size_t states)
 {
     static obs::Counter &trajectories =
         obs::counter(obs::names::kSimTrajectories);
     static obs::Counter &batches =
         obs::counter(obs::names::kSimTrajectoryBatches);
+    static obs::Counter &shared =
+        obs::counter(obs::names::kSimTrajectoryStates);
     trajectories.add(lanes);
     batches.add();
+    shared.add(states);
 }
 
 /** Pauli k of (I, X, Y, Z) as a matrix; nullptr for the identity. */
@@ -89,37 +95,50 @@ pauli(std::size_t k)
  * Draw one lane's idle thermal relaxation on a qubit whose P(1) is
  * @p p1 (read only when idle.damp > 0): amplitude damping as an exact
  * jump/no-jump unravelling, then a Pauli-twirled dephasing flip.
+ * Returns the event's code, 2 * damping + dephase (see relaxation).
  */
-Relaxation
+unsigned
 drawRelaxation(const IdleChannel &idle, double p1, stats::Rng &rng)
 {
+    auto damping = Relaxation::Damping::None;
+    if (idle.damp > 0.0 && p1 > 0.0)
+        damping = rng.bernoulli(idle.damp * p1) ? Relaxation::Damping::Jump
+                                                : Relaxation::Damping::Decay;
+    const bool dephase = idle.dephase > 0.0 && rng.bernoulli(idle.dephase);
+    return 2 * static_cast<unsigned>(damping) + (dephase ? 1 : 0);
+}
+
+/** The event of drawRelaxation's @p code on a qubit whose P(1) is @p p1. */
+Relaxation
+relaxation(const IdleChannel &idle, double p1, unsigned code)
+{
     Relaxation ev;
-    if (idle.damp > 0.0 && p1 > 0.0) {
-        if (rng.bernoulli(idle.damp * p1)) {
-            // jump |1> -> |0>, renormalised by sqrt(p1)
-            ev.damping = Relaxation::Damping::Jump;
-            ev.keep1 = 1.0 / std::sqrt(p1);
-        } else {
-            // no-jump Kraus diag(1, sqrt(1 - damp)), renormalised by
-            // the branch probability sqrt(1 - damp * p1)
-            const double renorm = std::sqrt(1.0 - idle.damp * p1);
-            ev.damping = Relaxation::Damping::Decay;
-            ev.keep0 = 1.0 / renorm;
-            ev.keep1 = std::sqrt(1.0 - idle.damp) / renorm;
-        }
+    ev.damping = static_cast<Relaxation::Damping>(code / 2);
+    ev.dephase = code % 2 != 0;
+    if (ev.damping == Relaxation::Damping::Jump) {
+        // jump |1> -> |0>, renormalised by sqrt(p1)
+        ev.keep1 = 1.0 / std::sqrt(p1);
+    } else if (ev.damping == Relaxation::Damping::Decay) {
+        // no-jump Kraus diag(1, sqrt(1 - damp)), renormalised by the
+        // branch probability sqrt(1 - damp * p1)
+        const double renorm = std::sqrt(1.0 - idle.damp * p1);
+        ev.keep0 = 1.0 / renorm;
+        ev.keep1 = std::sqrt(1.0 - idle.damp) / renorm;
     }
-    ev.dephase = idle.dephase > 0.0 && rng.bernoulli(idle.dephase);
     return ev;
 }
 
 /**
  * One batch of lockstep trajectories through a circuit's noisy steps.
- * Lane l runs the trajectory whose stream is rngs[l]: each of its
- * stochastic events is drawn from rngs[l] in the order a lone
- * trajectory draws it and applied only to the lanes it hits, so every
- * lane reproduces its lone trajectory exactly. Every step is one
- * kernel over all lanes, and a touched idle step's relax also sums the
- * P(1) the next step reads (see sumAfter_).
+ * Lane l runs the trajectory whose stream is rngs[l]: it draws each of
+ * its stochastic events from rngs[l] in the order a lone trajectory
+ * draws it. Lanes whose draws have agreed so far hold the same
+ * amplitudes, so they share one state (a StateLanes lane): the batch
+ * starts on one |0...0> state, and a step whose draws disagree on a
+ * state splits it before any event applies (see split). Every step is
+ * then one kernel over all states, each taking its lanes' event, so
+ * every lane reproduces its lone trajectory exactly. A touched idle
+ * step's relax also sums the P(1) the next step reads (see sumAfter_).
  */
 class LaneBatch
 {
@@ -161,9 +180,15 @@ class LaneBatch
     run(std::vector<stats::Rng> &rngs)
     {
         const std::size_t lanes = rngs.size();
-        state_.resetToZero(lanes);
+        state_.resetToZero(1);
+        states_ = 1;
+        stateOf_.assign(lanes, 0);
         clbits_.assign(lanes, std::string(circuit_.numClbits(), '0'));
+        code_.assign(lanes, 0);
         p1_.assign(lanes, 0.0);
+        stateCode_.assign(lanes, 0);
+        firstCopy_.assign(lanes, kNone);
+        nextCopy_.assign(lanes, kNone);
         outcome_.assign(lanes, 0);
         first_.assign(lanes, nullptr);
         second_.assign(lanes, nullptr);
@@ -175,15 +200,59 @@ class LaneBatch
 
     const std::vector<std::string> &clbits() const { return clbits_; }
 
+    /** The StateLanes lane that holds lane @p lane's state. */
+    std::size_t stateOf(std::size_t lane) const { return stateOf_[lane]; }
+
+    /** States the last run() held: one, plus one per split. */
+    std::size_t states() const { return states_; }
+
   private:
     static constexpr std::size_t kNone = ~std::size_t{0};
+    static constexpr unsigned kNoCode = ~0u;
 
-    /** p1_ = each lane's P(1) of step @p i's qubit, unless summed. */
+    /** p1_ = each state's P(1) of step @p i's qubit, unless summed. */
     void
     loadP1(std::size_t i)
     {
         if (p1For_ != i)
             state_.probabilitiesOfOne(plan_.steps[i].q0, p1_);
+    }
+
+    /**
+     * Give each state one event code. A lane whose code_ differs from
+     * that of the first lane on its state moves to a copy of the state,
+     * one copy per (state, code), taken before any event applies; the
+     * copy inherits its parent's P(1). Then stateCode_[s] is the code
+     * of every lane on state s.
+     */
+    void
+    split()
+    {
+        const std::size_t before = states_;
+        std::fill_n(stateCode_.begin(), before, kNoCode);
+        std::fill_n(firstCopy_.begin(), before, kNone);
+        for (std::size_t l = 0; l < stateOf_.size(); ++l) {
+            const std::size_t s = stateOf_[l];
+            const unsigned code = code_[l];
+            if (stateCode_[s] == kNoCode)
+                stateCode_[s] = code;
+            if (stateCode_[s] == code)
+                continue;
+            std::size_t copy = firstCopy_[s];
+            while (copy != kNone && stateCode_[copy] != code)
+                copy = nextCopy_[copy];
+            if (copy == kNone) {
+                copy = state_.copyLane(s);
+                states_ = copy + 1;
+                stateCode_[copy] = code;
+                nextCopy_[copy] = firstCopy_[s];
+                firstCopy_[s] = copy;
+                if (p1_.size() < states_)
+                    p1_.resize(states_);
+                p1_[copy] = p1_[s];
+            }
+            stateOf_[l] = copy;
+        }
     }
 
     /** Noisy step @p i on every lane. */
@@ -197,14 +266,19 @@ class LaneBatch
             state_.applyGate(circuit_.gates()[s.index]);
             return;
           case NoisyStep::Kind::Measure: {
+            // The readout flip only touches the lane's clbit.
             const auto cbit =
                 static_cast<std::size_t>(circuit_.gates()[s.index].cbit);
             loadP1(i);
             for (std::size_t l = 0; l < lanes; ++l) {
-                outcome_[l] = rngs[l].bernoulli(p1_[l]) ? 1 : 0;
+                const bool one = rngs[l].bernoulli(p1_[stateOf_[l]]);
                 const bool flip = rngs[l].bernoulli(s.p);
-                clbits_[l][cbit] = (outcome_[l] == 1) != flip ? '1' : '0';
+                clbits_[l][cbit] = one != flip ? '1' : '0';
+                code_[l] = one ? 1 : 0;
             }
+            split();
+            for (std::size_t k = 0; k < states_; ++k)
+                outcome_[k] = static_cast<int>(stateCode_[k]);
             state_.collapse(s.q0, outcome_, p1_);
             return;
           }
@@ -213,9 +287,15 @@ class LaneBatch
             // excitation of an imperfect reset.
             loadP1(i);
             for (std::size_t l = 0; l < lanes; ++l) {
-                outcome_[l] = rngs[l].bernoulli(p1_[l]) ? 1 : 0;
-                first_[l] = outcome_[l] == 1 ? pauli(1) : nullptr;
-                second_[l] = rngs[l].bernoulli(s.p) ? pauli(1) : nullptr;
+                const bool one = rngs[l].bernoulli(p1_[stateOf_[l]]);
+                const bool excite = rngs[l].bernoulli(s.p);
+                code_[l] = 2 * (one ? 1u : 0u) + (excite ? 1u : 0u);
+            }
+            split();
+            for (std::size_t k = 0; k < states_; ++k) {
+                outcome_[k] = static_cast<int>(stateCode_[k] / 2);
+                first_[k] = pauli(stateCode_[k] / 2);
+                second_[k] = pauli(stateCode_[k] % 2);
             }
             state_.collapse(s.q0, outcome_, p1_);
             state_.applyPerLane(s.q0, first_);
@@ -223,10 +303,12 @@ class LaneBatch
             return;
           case NoisyStep::Kind::Pauli1:
           case NoisyStep::Kind::Pauli2:
-            for (std::size_t l = 0; l < lanes; ++l) {
-                const std::size_t code = drawPauli(s, rngs[l]);
-                first_[l] = pauli(code / 4);
-                second_[l] = pauli(code % 4);
+            for (std::size_t l = 0; l < lanes; ++l)
+                code_[l] = static_cast<unsigned>(drawPauli(s, rngs[l]));
+            split();
+            for (std::size_t k = 0; k < states_; ++k) {
+                first_[k] = pauli(stateCode_[k] / 4);
+                second_[k] = pauli(stateCode_[k] % 4);
             }
             state_.applyPerLane(s.q0, first_);
             state_.applyPerLane(s.q1, second_);
@@ -234,9 +316,9 @@ class LaneBatch
           case NoisyStep::Kind::Idle: {
             const IdleChannel &idle = plan_.idle[s.index];
             if (s.untouched) {
-                // Still |0> in every lane: P(1) is exactly 0 and the
+                // Still |0> in every state: P(1) is exactly 0 and the
                 // event can only flip the sign of a zero amplitude,
-                // so draw it and skip both passes.
+                // so draw it and skip both passes; no state splits.
                 for (std::size_t l = 0; l < lanes; ++l)
                     drawRelaxation(idle, 0.0, rngs[l]);
                 return;
@@ -244,7 +326,11 @@ class LaneBatch
             if (idle.damp > 0.0)
                 loadP1(i);
             for (std::size_t l = 0; l < lanes; ++l)
-                relax_[l] = drawRelaxation(idle, p1_[l], rngs[l]);
+                code_[l] = drawRelaxation(idle, p1_[stateOf_[l]], rngs[l]);
+            split();
+            // Decay and jump factors are functions of the state's P(1).
+            for (std::size_t k = 0; k < states_; ++k)
+                relax_[k] = relaxation(idle, p1_[k], stateCode_[k]);
             // The events are drawn: p1_ may now take the next step's
             // P(1), summed in the relax pass. When every event is a
             // no-op nothing is walked, and that step sums its own.
@@ -261,9 +347,18 @@ class LaneBatch
     const qc::Circuit &circuit_;
     const NoisySteps plan_;
     StateLanes &state_;
+    /** States in use: StateLanes lanes [0, states_). */
+    std::size_t states_ = 0;
+    // Per lane.
+    std::vector<std::size_t> stateOf_;
     std::vector<std::string> clbits_;
-    // Per-lane working arrays, reused across steps.
+    std::vector<unsigned> code_; ///< this step's event code
+    // Per state, reused across steps.
     std::vector<double> p1_;
+    std::vector<unsigned> stateCode_;
+    /** This step's copies of a state: firstCopy_, then nextCopy_. */
+    std::vector<std::size_t> firstCopy_;
+    std::vector<std::size_t> nextCopy_;
     std::vector<int> outcome_;
     std::vector<const Matrix2 *> first_;
     std::vector<const Matrix2 *> second_;
@@ -365,13 +460,14 @@ runDensityMatrixSampling(const qc::Circuit &core,
 
 /**
  * Stochastic statevector trajectories, run in lockstep batches of up
- * to laneCap(width) lanes. Mid-circuit collapse runs one trajectory
- * per shot over the full circuit; terminal circuits amortise
- * shotsPerTrajectory shots per trajectory by splitting at the
- * measurement boundary. Trajectory t draws from its own stream
- * deriveTaskSeed(base, t), base being one draw on the caller's rng,
- * so a lane reproduces its lone trajectory whatever the batching, and
- * a hook-truncated histogram is an exact prefix of the full run's.
+ * to laneCap(width) lanes, lanes whose draws agree sharing a state.
+ * Mid-circuit collapse runs one trajectory per shot over the full
+ * circuit; terminal circuits amortise shotsPerTrajectory shots per
+ * trajectory by splitting at the measurement boundary. Trajectory t
+ * draws from its own stream deriveTaskSeed(base, t), base being one
+ * draw on the caller's rng, so a lane reproduces its lone trajectory
+ * whatever the batching, and a hook-truncated histogram is an exact
+ * prefix of the full run's.
  */
 stats::Counts
 runTrajectories(const qc::Circuit &circuit, const RunOptions &options,
@@ -428,8 +524,8 @@ runTrajectories(const qc::Circuit &circuit, const RunOptions &options,
         }
         if (rngs.empty())
             break;
-        countBatch(rngs.size());
         batch.run(rngs);
+        countBatch(rngs.size(), batch.states());
         for (std::size_t l = 0; l < rngs.size(); ++l) {
             if (mid_circuit) {
                 counts.add(batch.clbits()[l]);
@@ -438,7 +534,8 @@ runTrajectories(const qc::Circuit &circuit, const RunOptions &options,
             // Note: measurement-time idle noise for the terminal moment
             // is captured by the readout error probability itself.
             for (std::uint64_t b = 0; b < lane_shots[l]; ++b) {
-                std::size_t basis = state.sampleBasisState(l, rngs[l]);
+                std::size_t basis =
+                    state.sampleBasisState(batch.stateOf(l), rngs[l]);
                 std::string clbits(circuit.numClbits(), '0');
                 for (std::size_t c = 0; c < clbits.size(); ++c) {
                     if (clbit_source[c] < 0)

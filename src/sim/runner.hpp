@@ -22,8 +22,11 @@
  * outcome-dependent. Each trajectory draws from its own
  * deriveTaskSeed-derived stream, so a truncated run's histogram is an
  * exact prefix of the full run's. Trajectories run in lockstep
- * batches of up to 16 lanes (StateLanes), one kernel per step for the
- * whole batch; a lane reproduces its lone trajectory exactly.
+ * batches of up to 256 lanes (fewer from width 7 up, so a batch's
+ * states fit 2^14 amplitudes), one kernel per step for the whole
+ * batch. Lanes whose draws have agreed so far share one state
+ * (StateLanes lane), so a step walks each distinct state once; a lane
+ * reproduces its lone trajectory exactly.
  */
 
 #ifndef SMQ_SIM_RUNNER_HPP

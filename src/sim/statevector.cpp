@@ -881,6 +881,28 @@ StateLanes::resetToZero(std::size_t lanes)
     }
 }
 
+std::size_t
+StateLanes::copyLane(std::size_t source)
+{
+    if (source >= lanes_ || lanes_ == maxLanes())
+        throw std::invalid_argument("StateLanes: no lane to copy into");
+    // The new lane is all zeros and dead blocks: the source's live
+    // blocks and their flags are all that differs.
+    const std::size_t b = blockBits(numQubits_);
+    const std::size_t perLane = std::size_t{1} << (numQubits_ - b);
+    const unsigned char *fromLive = live_.data() + source * perLane;
+    unsigned char *toLive = live_.data() + lanes_ * perLane;
+    const Complex *from = amps_.data() + (source << numQubits_);
+    Complex *to = amps_.data() + (lanes_ << numQubits_);
+    for (std::size_t k = 0; k < perLane; ++k) {
+        if (fromLive[k] == 0)
+            continue;
+        std::copy_n(from + (k << b), std::size_t{1} << b, to + (k << b));
+        toLive[k] = 1;
+    }
+    return lanes_++;
+}
+
 void
 StateLanes::applyGate(const qc::Gate &gate)
 {

@@ -143,7 +143,8 @@ struct Relaxation
  * same order as a lone StateVector would, whatever its lane or batch.
  *
  * Per-lane arguments are indexed by lane and hold an entry for every
- * active lane.
+ * active lane. The lanes past the active ones hold only zeros and dead
+ * blocks, so activating one costs only what it copies.
  *
  * Each block of 2^min(n, 6) amplitudes (never two lanes' worth) has a
  * liveness flag, set whenever the block may hold a nonzero amplitude;
@@ -173,6 +174,14 @@ class StateLanes
      * @throws std::invalid_argument when @p lanes > maxLanes().
      */
     void resetToZero(std::size_t lanes);
+
+    /**
+     * Activate one more lane as a copy of active lane @p source (its
+     * amplitudes and block flags) and return the new lane's index.
+     * @throws std::invalid_argument when @p source is not active or
+     *   every lane is.
+     */
+    std::size_t copyLane(std::size_t source);
 
     /** Apply one unitary gate to every lane (one apply per lane). */
     void applyGate(const qc::Gate &gate);

@@ -1,8 +1,9 @@
 # Runs `bench_fig2_scores --quick --jobs 2` in a fresh directory and
 # checks the grid it writes byte for byte against the reference grid,
-# and its manifest's cell tallies against the reference's. Then runs it
-# again in the same directory: the rerun must read the grid back from
-# the cache (no cell executed) and print the same stdout.
+# its manifest's cell tallies against the reference's, and its stderr
+# for one report line per cell. Then runs it again in the same
+# directory: the rerun must read the grid back from the cache (no cell
+# executed, no cell reported) and print the same stdout.
 #
 #   cmake -DBENCH=<bench_fig2_scores> -DREFERENCE=<fig2_quick_grid.txt>
 #         -DWORK_DIR=<directory to run in> -P fig2_quick_grid.cmake
@@ -24,6 +25,13 @@ execute_process(
     ERROR_VARIABLE stderr)
 if(NOT status EQUAL 0)
     message(FATAL_ERROR "bench_fig2_scores exited ${status}:\n${stderr}")
+endif()
+
+# The cell report: "  <benchmark> @ <device> = <cell>", 26 x 9 lines.
+string(REGEX MATCHALL "\n  [^\n]+ @ [^\n]+ = " reported "\n${stderr}")
+list(LENGTH reported n_reported)
+if(NOT n_reported EQUAL 234)
+    message(FATAL_ERROR "stderr reports ${n_reported} cells, want 234:\n${stderr}")
 endif()
 
 set(grid "${WORK_DIR}/fig2_cache_150_r2.txt")
@@ -59,6 +67,9 @@ endif()
 string(FIND "${stderr}" "(reusing cached grid fig2_cache_150_r2.txt)" reused)
 if(reused EQUAL -1)
     message(FATAL_ERROR "the rerun did not reuse the cached grid:\n${stderr}")
+endif()
+if(stderr MATCHES " @ ")
+    message(FATAL_ERROR "the rerun reported cells it did not run:\n${stderr}")
 endif()
 if(NOT rerun_stdout STREQUAL first_stdout)
     message(FATAL_ERROR "stdout from the cached grid differs from the first run")

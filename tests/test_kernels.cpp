@@ -996,6 +996,16 @@ struct DenseLanes
         }
     }
 
+    /** Activate one more lane as a copy of lane @p source. */
+    void
+    copy(std::size_t source)
+    {
+        std::copy_n(amps.begin() + static_cast<std::ptrdiff_t>(source * dim()),
+                    dim(),
+                    amps.begin() + static_cast<std::ptrdiff_t>(lanes * dim()));
+        ++lanes;
+    }
+
     void
     perLane(std::size_t q, const std::vector<const sim::Matrix2 *> &m)
     {
@@ -1114,9 +1124,14 @@ compareLanes(const sim::StateLanes &lanes, const DenseLanes &ref)
     return "";
 }
 
-/** One seeded lane program, checked against DenseLanes op by op. */
+/**
+ * One seeded lane program, checked against DenseLanes op by op. With
+ * @p copies each batch starts on one lane, and a ninth op copies a
+ * random active lane into the next one until the batch is full.
+ */
 void
-checkLaneProgram(std::size_t n, std::size_t max_lanes, std::uint64_t seed)
+checkLaneProgram(std::size_t n, std::size_t max_lanes, std::uint64_t seed,
+                 bool copies = false)
 {
     stats::Rng rng(seed);
     sim::StateLanes lanes(n, max_lanes);
@@ -1147,13 +1162,22 @@ checkLaneProgram(std::size_t n, std::size_t max_lanes, std::uint64_t seed)
     const std::size_t batches[] = {max_lanes,
                                    std::max<std::size_t>(1, max_lanes / 3),
                                    max_lanes};
-    for (std::size_t active : batches) {
+    for (const std::size_t full : batches) {
+        std::size_t active = copies ? 1 : full;
         lanes.resetToZero(active);
         ref.reset(active);
         for (std::size_t step = 0; step < 48; ++step) {
-            const std::size_t op = rng.index(8);
+            const std::size_t op = rng.index(copies ? 9 : 8);
             std::string what;
-            if (op <= 1) {
+            if (op == 8) {
+                const std::size_t source = rng.index(active);
+                if (active < full) {
+                    ASSERT_EQ(lanes.copyLane(source), active);
+                    ref.copy(source);
+                    ++active;
+                }
+                what = "copy of lane " + std::to_string(source);
+            } else if (op <= 1) {
                 const auto type = oneQ[rng.index(std::size(oneQ))];
                 const auto q = static_cast<qc::Qubit>(qubit(
                     static_cast<int>(rng.index(2))));
@@ -1321,6 +1345,121 @@ TEST(TrajectoryLanes, LiveBlockWalkMatchesDenseReference)
             << mode.name << ": the walk should skip most blocks";
     }
     obs::setMetricsEnabled(false);
+}
+
+TEST(TrajectoryLanes, CopiedLanesMatchDenseReference)
+{
+    // The lane programs again, each batch grown from one lane by
+    // copies (as the trajectory engine splits a shared state), up to
+    // batches as wide as the engine runs at widths 5-7.
+    struct Mode
+    {
+        const char *name;
+        std::size_t jobs;
+        std::size_t threshold;
+        bool force;
+        kernels::SimdMode simd;
+    };
+    const Mode modes[] = {
+        {"serial", 1, std::size_t{1} << 16, false, kernels::SimdMode::Auto},
+        {"forced-parallel", 4, 1, true, kernels::SimdMode::Auto},
+        {"scalar", 1, std::size_t{1} << 16, false, kernels::SimdMode::Scalar},
+    };
+    const LaneShape shapes[] = {{5, 48}, {7, 24}, {8, 6}, {11, 8}};
+    for (const Mode &mode : modes) {
+        kernels::KernelConfigGuard guard;
+        kernels::setKernelJobs(mode.jobs);
+        kernels::setKernelThreshold(mode.threshold);
+        kernels::setForceParallel(mode.force);
+        kernels::setSimdMode(mode.simd);
+        for (std::size_t i = 0; i < std::size(shapes); ++i) {
+            const LaneShape &shape = shapes[i];
+            SCOPED_TRACE(std::string(mode.name) + ", width " +
+                         std::to_string(shape.n) + " x " +
+                         std::to_string(shape.lanes));
+            checkLaneProgram(shape.n, shape.lanes, 4200 + i, true);
+            if (HasFatalFailure())
+                break;
+        }
+    }
+}
+
+TEST(StateLanes, CopiedLaneEqualsItsSourceThenStandsAlone)
+{
+    // Width 8: four 64-amplitude blocks a lane. Lane 0 holds live
+    // blocks 0 and 2 (qubit 7 in superposition), lane 1 block 2 only.
+    constexpr std::size_t n = 8, dim = std::size_t{1} << n;
+    const sim::Matrix2 h = sim::gateMatrix1(qc::Gate(qc::GateType::H, {0}));
+    const sim::Matrix2 x = sim::gateMatrix1(qc::Gate(qc::GateType::X, {0}));
+    const sim::Matrix2 ry =
+        sim::gateMatrix1(qc::Gate(qc::GateType::RY, {0}, {0.7}));
+    const sim::Matrix2 z = sim::gateMatrix1(qc::Gate(qc::GateType::Z, {0}));
+    sim::StateLanes lanes(n, 3);
+    lanes.resetToZero(2);
+    lanes.applyPerLane(7, {&h, &x});
+    lanes.applyPerLane(1, {&ry, nullptr});
+    auto lane = [&](std::size_t l) {
+        const auto &amps = lanes.amplitudes();
+        return std::vector<sim::Complex>(
+            amps.begin() + static_cast<std::ptrdiff_t>(l * dim),
+            amps.begin() + static_cast<std::ptrdiff_t>((l + 1) * dim));
+    };
+    auto sameBits = [](const std::vector<sim::Complex> &a,
+                       const std::vector<sim::Complex> &b) {
+        return std::memcmp(a.data(), b.data(),
+                           a.size() * sizeof(sim::Complex)) == 0;
+    };
+    const std::vector<sim::Complex> source = lane(0);
+    const std::vector<sim::Complex> other = lane(1);
+    ASSERT_EQ(lanes.copyLane(0), 2u);
+    EXPECT_TRUE(sameBits(lane(2), source));
+    EXPECT_TRUE(sameBits(lane(0), source));
+    EXPECT_TRUE(sameBits(lane(1), other));
+
+    // The copy's flags are the source's: a kernel on either lane alone
+    // walks and skips the same blocks.
+    obs::setMetricsEnabled(true);
+    obs::Counter &walked = obs::counter(obs::names::kSimLanesBlocksWalked);
+    obs::Counter &skipped = obs::counter(obs::names::kSimLanesBlocksSkipped);
+    auto blocksOf = [&](std::vector<const sim::Matrix2 *> per_lane) {
+        const std::uint64_t w = walked.value(), k = skipped.value();
+        lanes.applyPerLane(7, per_lane);
+        return std::make_pair(walked.value() - w, skipped.value() - k);
+    };
+    const auto onSource = blocksOf({&z, nullptr, nullptr});
+    const auto onCopy = blocksOf({nullptr, nullptr, &z});
+    obs::setMetricsEnabled(false);
+    EXPECT_EQ(onSource, onCopy);
+    EXPECT_EQ(onSource, std::make_pair(std::uint64_t{2}, std::uint64_t{2}));
+    EXPECT_TRUE(sameBits(lane(2), lane(0)));
+
+    // Then each goes its own way: what one lane takes leaves the other
+    // as it was.
+    const std::vector<sim::Complex> copied = lane(2);
+    lanes.applyPerLane(3, {&ry, nullptr, nullptr});
+    std::vector<sim::Relaxation> events(3);
+    events[0].damping = sim::Relaxation::Damping::Decay;
+    events[0].keep0 = 1.1;
+    events[0].keep1 = 0.8;
+    events[0].dephase = true;
+    lanes.relax(7, events);
+    EXPECT_TRUE(sameBits(lane(2), copied));
+    EXPECT_FALSE(sameBits(lane(0), copied));
+    const std::vector<sim::Complex> moved = lane(0);
+    lanes.applyPerLane(5, {nullptr, nullptr, &h});
+    EXPECT_TRUE(sameBits(lane(0), moved));
+    EXPECT_FALSE(sameBits(lane(2), copied));
+    EXPECT_TRUE(sameBits(lane(1), other));
+
+    // Every lane is active, and only an active lane can be copied.
+    EXPECT_THROW(lanes.copyLane(0), std::invalid_argument);
+    lanes.resetToZero(1);
+    EXPECT_THROW(lanes.copyLane(1), std::invalid_argument);
+    // A copy after a reset holds none of the last batch's amplitudes.
+    ASSERT_EQ(lanes.copyLane(0), 1u);
+    std::vector<sim::Complex> zero(dim);
+    zero[0] = 1.0;
+    EXPECT_EQ(lane(1), zero);
 }
 
 // ---------------------------------------------------------------------

@@ -610,6 +610,143 @@ TEST(TrajectoryLanes, TerminalHookInsideABatchEqualsTheShorterRun)
     EXPECT_EQ(cut.map(), shorter.map());
 }
 
+/** Heavier than laneNoise: within one batch, damping jumps, dephasing
+ *  flips, Pauli errors, readout flips and reset excitations all fire,
+ *  so lanes that shared a state split at every kind of event. */
+sim::NoiseModel
+sharedNoise()
+{
+    sim::NoiseModel noise;
+    noise.enabled = true;
+    noise.p1 = 0.01;
+    noise.p2 = 0.04;
+    noise.pMeas = 0.03;
+    noise.pReset = 0.05;
+    noise.t1 = 8.0;
+    noise.t2 = 6.0;
+    noise.time1q = 0.1;
+    noise.time2q = 0.5;
+    noise.timeMeas = 1.5;
+    return noise;
+}
+
+/** Two syndrome rounds on the last qubit (a cx chain, then measure,
+ *  reset and rx) and two final reads. Non-Clifford, four clbits. */
+qc::Circuit
+laneSyndrome(std::size_t n)
+{
+    qc::Circuit c(n, 4, "lanes-syndrome");
+    for (std::size_t q = 0; q < n; ++q)
+        c.ry(0.3 + 0.2 * static_cast<double>(q), q);
+    for (std::size_t round = 0; round < 2; ++round) {
+        for (std::size_t q = 1; q < n; ++q)
+            c.cx(q - 1, q);
+        c.measure(n - 1, round);
+        c.reset(n - 1);
+        c.rx(0.7, n - 1);
+    }
+    c.measure(0, 2);
+    c.measure(n / 2, 3);
+    return c;
+}
+
+/** @p circuit under sharedNoise; terminal circuits on forced
+ *  trajectories of two shots each. */
+stats::Counts
+runShared(const qc::Circuit &circuit, std::uint64_t shots,
+          std::uint64_t seed, sim::FaultHook hook = {})
+{
+    sim::RunOptions ro;
+    ro.noise = sharedNoise();
+    ro.shots = shots;
+    ro.shotsPerTrajectory = 2;
+    ro.planner.force = sim::BackendKind::Trajectory;
+    ro.faultHook = std::move(hook);
+    stats::Rng rng(seed);
+    return sim::run(circuit, ro, rng);
+}
+
+TEST(TrajectoryLanes, SharedStatesMatchRecordedBits)
+{
+    // Recorded with the engine that gave every lane a state of its own,
+    // 16 lanes a batch. Width 5 now runs each run's 151 mid-circuit or
+    // 165 terminal trajectories (330 shots at 2) in one batch, width 7
+    // in batches of 128, lanes sharing a state while their draws agree.
+    struct Pin
+    {
+        std::size_t width;
+        std::uint64_t batches;
+        const char *mid;
+        const char *terminal;
+    };
+    const Pin pins[] = {
+        {5, 1,
+         "0000:46 0001:8 0011:2 0100:20 0101:6 0111:1 1000:22 1001:9 "
+         "1010:1 1011:5 1100:25 1101:5 1111:1",
+         "0000:147 0001:54 0010:21 0011:45 0100:13 0101:3 0110:5 0111:16 "
+         "1000:10 1001:1 1010:1 1100:2 1110:6 1111:6"},
+        {7, 2,
+         "0000:37 0001:10 0010:2 0100:12 0101:9 0110:7 0111:2 1000:22 "
+         "1001:18 1010:5 1011:2 1100:17 1101:6 1110:2",
+         "0000:96 0001:72 0010:29 0011:40 0100:18 0101:14 0110:15 0111:18 "
+         "1000:6 1001:5 1010:2 1011:5 1100:2 1101:2 1110:4 1111:2"},
+    };
+    const bool metrics_were_on = obs::metricsEnabled();
+    obs::setMetricsEnabled(true);
+    obs::Counter &batches =
+        obs::counter(obs::names::kSimTrajectoryBatches);
+    obs::Counter &states = obs::counter(obs::names::kSimTrajectoryStates);
+    for (const Pin &pin : pins) {
+        const qc::Circuit mid = laneSyndrome(pin.width);
+        ASSERT_EQ(sim::planCircuit(mid, sharedNoise()).token(),
+                  "trajectory:mid-circuit");
+        std::uint64_t batches0 = batches.value();
+        std::uint64_t states0 = states.value();
+        EXPECT_EQ(renderCounts(runShared(mid, 151, 5000 + pin.width)),
+                  pin.mid)
+            << "mid-circuit, width " << pin.width;
+        EXPECT_EQ(batches.value() - batches0, pin.batches)
+            << "mid-circuit batches, width " << pin.width;
+        // Each batch starts on one state and splits; no lane holds
+        // more than one.
+        EXPECT_GT(states.value() - states0, pin.batches)
+            << "mid-circuit states, width " << pin.width;
+        EXPECT_LE(states.value() - states0, 151u)
+            << "mid-circuit states, width " << pin.width;
+
+        batches0 = batches.value();
+        states0 = states.value();
+        const qc::Circuit terminal = laneTerminal(pin.width);
+        EXPECT_EQ(renderCounts(runShared(terminal, 330, 6000 + pin.width)),
+                  pin.terminal)
+            << "terminal, width " << pin.width;
+        EXPECT_EQ(batches.value() - batches0, pin.batches)
+            << "terminal batches, width " << pin.width;
+        EXPECT_GT(states.value() - states0, pin.batches)
+            << "terminal states, width " << pin.width;
+        EXPECT_LE(states.value() - states0, 165u)
+            << "terminal states, width " << pin.width;
+    }
+    obs::setMetricsEnabled(metrics_were_on);
+}
+
+TEST(TrajectoryLanes, HookInsideAWideBatchEqualsTheShorterRun)
+{
+    // Width 5 runs every trajectory of these runs in one batch: the
+    // hook fires at its 97th lane, past the 16 a batch used to hold.
+    const qc::Circuit mid = laneSyndrome(5);
+    const stats::Counts cut = runShared(
+        mid, 150, 79, [](std::uint64_t done) { return done >= 97; });
+    EXPECT_EQ(cut.shots(), 97u);
+    EXPECT_EQ(cut.map(), runShared(mid, 97, 79).map());
+
+    const qc::Circuit terminal = laneTerminal(5);
+    const stats::Counts cut_terminal = runShared(
+        terminal, 300, 80, [](std::uint64_t done) { return done >= 194; });
+    EXPECT_EQ(cut_terminal.shots(), 194u);
+    EXPECT_EQ(cut_terminal.map(), runShared(terminal, 194, 80).map());
+}
+
 // --- one noisy-step list for every engine ----------------------------
 
 TEST(NoisySteps, ReadoutErrorIsIndependentPerMeasurement)

@@ -65,6 +65,7 @@ main(int argc, char **argv)
         std::cerr << "smq_grid_tool: " << outcome.mismatchDetail << "\n";
         return outcome.exitCode();
     }
+    bench::printCellReport(std::cerr, outcome.grid);
 
     if (!out_path.empty()) {
         std::string error;
