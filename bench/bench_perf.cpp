@@ -462,6 +462,31 @@ perfHarness(int argc, char **argv)
                benchmark::DoNotOptimize(sim::noisyDistribution(
                    ghz.circuits()[0], device::ibmMontreal().noise));
            }));
+    {
+        // qaoa_zzswap_6 as the Fig. 2 grid runs it on IBM-Montreal: six
+        // qubits on the exact density matrix, 150 shots. Its 64 KiB rho
+        // is below the kernels' parallel threshold, so every step runs
+        // serially, as in a grid cell; the ghz_9 stage's 4 MiB rho runs
+        // on every hardware thread.
+        const core::QaoaSwapBenchmark qaoa(6, 6);
+        const device::Device montreal = device::ibmMontreal();
+        const core::PreparedCircuits prepared =
+            core::prepareCircuits(qaoa, montreal, core::HarnessOptions{});
+        const std::string token = prepared.plans[0].token();
+        if (token != "density-matrix:exact-noise") {
+            std::cerr << "bench_perf: qaoa_zzswap_6 on IBM-Montreal is "
+                      << token << ", not density-matrix:exact-noise\n";
+            return 1;
+        }
+        record("density_matrix_fig2_6q_noise", stageMs([&] {
+                   sim::RunOptions ro;
+                   ro.shots = 150;
+                   ro.noise = montreal.noise;
+                   stats::Rng rng(7);
+                   benchmark::DoNotOptimize(
+                       sim::run(prepared.circuits[0], ro, rng));
+               }));
+    }
     // GHZ is Clifford: the planner sends it to the stabilizer tableau.
     record("stabilizer_ghz14_2000shots", stageMs([&] {
                core::GhzBenchmark ghz(14);

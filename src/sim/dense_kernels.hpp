@@ -1,20 +1,21 @@
 /**
  * @file
- * Dense gate kernels shared by the two dense engines (internal: only
- * statevector.cpp, density_matrix.cpp and the scalar range bodies in
- * simd.cpp include this header).
+ * Index helpers and the gate kernel shared by the two dense engines
+ * (internal: only statevector.cpp, density_matrix.cpp and the scalar
+ * bodies in simd.cpp include this header).
  *
- * Every kernel works on `size` amplitudes addressed by index bits,
- * and the caller decides what the bits mean. A StateVector's qubits
- * are the low n bits, with StateLanes' lane number above them; a
- * DensityMatrix is a 2n-qubit vector whose column qubit q is bit q
- * and row qubit q is bit n + q. A kernel only combines indices that
- * differ in the bits it is given, so it never mixes two lanes.
+ * gateKernel works on `size` amplitudes addressed by index bits, and
+ * the caller decides what the bits mean. A StateVector's qubits are
+ * the low n bits, with StateLanes' lane number above them; a
+ * DensityMatrix is a 2n-qubit vector whose column qubit q is bit q and
+ * row qubit q is bit n + q, and runs only CCX / CSWAP through it (its
+ * 1q/2q steps walk blocks, kernels::dmPairRange / dmQuadRange). A
+ * kernel only combines indices that differ in the bits it is given, so
+ * it never mixes two lanes.
  *
- * The matrix kernels make one kernels::pairRange / quadRange call per
+ * A 1q/2q gate makes one kernels::pairRange / quadRange call per
  * dispatched range, which walks the amplitude runs inside the SIMD
- * body. They do not bump sim.kernel.simd_*: a caller records one SIMD
- * path per gate it applies, however many kernel calls that gate takes.
+ * body.
  */
 
 #ifndef SMQ_SIM_DENSE_KERNELS_HPP
@@ -89,14 +90,6 @@ forPairRuns(std::size_t pb, std::size_t pe, std::size_t q, const Fn &fn)
         p += run;
     }
 }
-
-/** Apply a one-qubit matrix to index bit @p q. */
-void matrix1Kernel(Complex *amps, std::size_t size, std::size_t q,
-                   const Matrix2 &m);
-
-/** Apply a two-qubit matrix (basis |b0 b1>, see gate_matrices). */
-void matrix2Kernel(Complex *amps, std::size_t size, std::size_t q0,
-                   std::size_t q1, const Matrix4 &m);
 
 /**
  * Apply one unitary gate, its qubits read as index bits (CCX / CSWAP

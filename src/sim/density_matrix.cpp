@@ -17,9 +17,6 @@ namespace smq::sim {
 
 namespace {
 
-using dense::expand1;
-using dense::expand2;
-
 /** One DM apply: a 1q/2q conjugation, a 3q permutation or a channel. */
 inline void
 countDmKernel()
@@ -27,6 +24,30 @@ countDmKernel()
     static obs::Counter &applies =
         obs::counter(obs::names::kSimDmGateApplies);
     applies.add();
+}
+
+/**
+ * Closed form of (1-p) rho + (p/3)(X rho X + Y rho Y + Z rho Z) per
+ * qubit block: populations mix pairwise, coherences scale.
+ */
+kernels::DmChannel
+depolarizing1(double p)
+{
+    return {kernels::DmChannel::Kind::Depolarize, 1.0 - 2.0 * p / 3.0,
+            2.0 * p / 3.0, 1.0 - 4.0 * p / 3.0};
+}
+
+/**
+ * Two-qubit Pauli twirl identity: the sum over all 16 Paulis of P B P
+ * is 4 Tr(B) I per block B, so
+ *   rho' = (1-p) B + (p/15)(4 Tr(B) I - B)
+ *        = (1 - 16p/15) B + (4p/15) Tr(B) I.
+ */
+kernels::DmChannel
+depolarizing2(double p)
+{
+    return {kernels::DmChannel::Kind::Depolarize, 1.0 - 16.0 * p / 15.0,
+            4.0 * p / 15.0, 0.0};
 }
 
 } // namespace
@@ -65,43 +86,45 @@ DensityMatrix::checkQubit(std::size_t q) const
 }
 
 void
-DensityMatrix::applyMatrix1(std::size_t q, const Matrix2 &u)
-{
-    checkQubit(q);
-    countDmKernel();
-    kernels::recordSimdPath();
-    // rho <- U rho on row bit n + q, then rho <- rho U^dagger on column
-    // bit q: (rho U^dagger)[r][c] = sum_k conj(u[c][k]) rho[r][k], so
-    // the column bit takes the entrywise conjugate of U, not its
-    // transpose.
-    const Matrix2 d = {std::conj(u[0]), std::conj(u[1]), std::conj(u[2]),
-                       std::conj(u[3])};
-    dense::matrix1Kernel(rho_.data(), rho_.size(), numQubits_ + q, u);
-    dense::matrix1Kernel(rho_.data(), rho_.size(), q, d);
-}
-
-void
-DensityMatrix::applyMatrix2(std::size_t q0, std::size_t q1, const Matrix4 &u)
+DensityMatrix::checkPair(std::size_t q0, std::size_t q1) const
 {
     checkQubit(q0);
     checkQubit(q1);
     if (q0 == q1)
         throw std::invalid_argument("DensityMatrix: duplicate qubit");
-    countDmKernel();
-    kernels::recordSimdPath();
-    Matrix4 d;
-    for (std::size_t k = 0; k < 16; ++k)
-        d[k] = std::conj(u[k]);
-    dense::matrix2Kernel(rho_.data(), rho_.size(), numQubits_ + q0,
-                         numQubits_ + q1, u);
-    dense::matrix2Kernel(rho_.data(), rho_.size(), q0, q1, d);
 }
 
 void
-DensityMatrix::applyGate(const qc::Gate &gate)
+DensityMatrix::applyMatrix1(std::size_t q, const Matrix2 &u, double p)
+{
+    checkQubit(q);
+    countDmKernel();
+    kernels::recordSimdPath();
+    if (p > 0.0)
+        countDmKernel();
+    step1(q, &u, p > 0.0 ? depolarizing1(p) : kernels::DmChannel{});
+}
+
+void
+DensityMatrix::applyMatrix2(std::size_t q0, std::size_t q1, const Matrix4 &u,
+                            double p)
+{
+    checkPair(q0, q1);
+    countDmKernel();
+    kernels::recordSimdPath();
+    if (p > 0.0)
+        countDmKernel();
+    step2(q0, q1, &u, p > 0.0 ? depolarizing2(p) : kernels::DmChannel{});
+}
+
+void
+DensityMatrix::applyGate(const qc::Gate &gate, double p)
 {
     using qc::GateType;
     if (gate.type == GateType::CCX || gate.type == GateType::CSWAP) {
+        if (p > 0.0)
+            throw std::invalid_argument(
+                "DensityMatrix::applyGate: a 3-qubit gate carries no error");
         for (qc::Qubit q : gate.qubits)
             checkQubit(q);
         countDmKernel();
@@ -115,9 +138,9 @@ DensityMatrix::applyGate(const qc::Gate &gate)
         return;
     }
     if (gate.qubits.size() == 1) {
-        applyMatrix1(gate.qubits[0], gateMatrix1(gate));
+        applyMatrix1(gate.qubits[0], gateMatrix1(gate), p);
     } else if (gate.qubits.size() == 2) {
-        applyMatrix2(gate.qubits[0], gate.qubits[1], gateMatrix2(gate));
+        applyMatrix2(gate.qubits[0], gate.qubits[1], gateMatrix2(gate), p);
     } else {
         throw std::invalid_argument("DensityMatrix::applyGate: bad arity");
     }
@@ -148,31 +171,7 @@ DensityMatrix::depolarize1(std::size_t q, double p)
         return;
     checkQubit(q);
     countDmKernel();
-    // Closed form of (1-p) rho + (p/3)(X rho X + Y rho Y + Z rho Z)
-    // per q-subsystem block: populations mix pairwise, coherences
-    // scale — one pass instead of four Kraus conjugations.
-    const double a = 1.0 - 2.0 * p / 3.0; // population keep
-    const double b = 2.0 * p / 3.0;       // population swap-in
-    const double c = 1.0 - 4.0 * p / 3.0; // coherence scale
-    const std::size_t stride = std::size_t{1} << q;
-    Complex *rho = rho_.data();
-    auto body = [&](std::size_t pb, std::size_t pe) {
-        for (std::size_t pr = pb; pr < pe; ++pr) {
-            Complex *row0 = rho + expand1(pr, q) * dim_;
-            Complex *row1 = row0 + stride * dim_;
-            for (std::size_t cp = 0; cp < dim_ / 2; ++cp) {
-                const std::size_t c0 = expand1(cp, q);
-                const std::size_t c1 = c0 + stride;
-                const Complex b00 = row0[c0], b11 = row1[c1];
-                row0[c0] = a * b00 + b * b11;
-                row1[c1] = b * b00 + a * b11;
-                row0[c1] *= c;
-                row1[c0] *= c;
-            }
-        }
-    };
-    // std::ref keeps the std::function in its small buffer.
-    kernels::forEachRange(dim_ / 2, dim_ * dim_, std::ref(body));
+    step1(q, nullptr, depolarizing1(p));
 }
 
 void
@@ -180,46 +179,9 @@ DensityMatrix::depolarize2(std::size_t qa, std::size_t qb, double p)
 {
     if (p <= 0.0)
         return;
-    checkQubit(qa);
-    checkQubit(qb);
+    checkPair(qa, qb);
     countDmKernel();
-    // Two-qubit Pauli twirl identity: sum over all 16 Paulis of
-    // P B P = 4 Tr(B) I per (qa, qb) subsystem block, so
-    //   rho' = (1-p) B + (p/15)(4 Tr(B) I - B)
-    //        = (1 - 16p/15) B + (4p/15) Tr(B) I.
-    // One pass over rho instead of 16 whole-matrix Kraus branches.
-    const double alpha = 1.0 - 16.0 * p / 15.0;
-    const double beta = 4.0 * p / 15.0;
-    const std::size_t sa = std::size_t{1} << qa;
-    const std::size_t sb = std::size_t{1} << qb;
-    std::size_t p0 = qa, p1 = qb;
-    if (p0 > p1)
-        std::swap(p0, p1);
-    Complex *rho = rho_.data();
-    auto body = [&](std::size_t kb, std::size_t ke) {
-        for (std::size_t kr = kb; kr < ke; ++kr) {
-            const std::size_t base = expand2(kr, p0, p1);
-            Complex *rows[4] = {rho + base * dim_, rho + (base + sb) * dim_,
-                                rho + (base + sa) * dim_,
-                                rho + (base + sa + sb) * dim_};
-            for (std::size_t kc = 0; kc < dim_ / 4; ++kc) {
-                const std::size_t cbase = expand2(kc, p0, p1);
-                const std::size_t cols[4] = {cbase, cbase + sb, cbase + sa,
-                                             cbase + sa + sb};
-                const Complex tr = rows[0][cols[0]] + rows[1][cols[1]] +
-                                   rows[2][cols[2]] + rows[3][cols[3]];
-                for (int i = 0; i < 4; ++i) {
-                    for (int j = 0; j < 4; ++j) {
-                        Complex v = alpha * rows[i][cols[j]];
-                        if (i == j)
-                            v += beta * tr;
-                        rows[i][cols[j]] = v;
-                    }
-                }
-            }
-        }
-    };
-    kernels::forEachRange(dim_ / 4, dim_ * dim_, std::ref(body));
+    step2(qa, qb, nullptr, depolarizing2(p));
 }
 
 void
@@ -235,27 +197,34 @@ DensityMatrix::thermalRelax(std::size_t q, double gamma, double pz)
     //   b10' = s z b10                b11' = (1 - gamma) b11
     // with s = sqrt(1 - gamma), z = 1 - 2 pz: one pass instead of two
     // Kraus channels in the idle-noise hot loop.
-    const double s = std::sqrt(1.0 - gamma);
-    const double coh = s * (1.0 - 2.0 * pz);
-    const double keep = 1.0 - gamma;
-    const std::size_t stride = std::size_t{1} << q;
+    const double coh = std::sqrt(1.0 - gamma) * (1.0 - 2.0 * pz);
+    step1(q, nullptr,
+          {kernels::DmChannel::Kind::Relax, gamma, 1.0 - gamma, coh});
+}
+
+void
+DensityMatrix::step1(std::size_t q, const Matrix2 *u,
+                     const kernels::DmChannel &channel)
+{
     Complex *rho = rho_.data();
+    const std::size_t n = numQubits_;
     auto body = [&](std::size_t pb, std::size_t pe) {
-        for (std::size_t pr = pb; pr < pe; ++pr) {
-            Complex *row0 = rho + expand1(pr, q) * dim_;
-            Complex *row1 = row0 + stride * dim_;
-            for (std::size_t cp = 0; cp < dim_ / 2; ++cp) {
-                const std::size_t c0 = expand1(cp, q);
-                const std::size_t c1 = c0 + stride;
-                const Complex b11 = row1[c1];
-                row0[c0] += gamma * b11;
-                row1[c1] = keep * b11;
-                row0[c1] *= coh;
-                row1[c0] *= coh;
-            }
-        }
+        kernels::dmPairRange(rho, n, pb, pe, q, u, channel);
     };
+    // std::ref keeps the std::function in its small buffer.
     kernels::forEachRange(dim_ / 2, dim_ * dim_, std::ref(body));
+}
+
+void
+DensityMatrix::step2(std::size_t q0, std::size_t q1, const Matrix4 *u,
+                     const kernels::DmChannel &channel)
+{
+    Complex *rho = rho_.data();
+    const std::size_t n = numQubits_;
+    auto body = [&](std::size_t kb, std::size_t ke) {
+        kernels::dmQuadRange(rho, n, kb, ke, q0, q1, u, channel);
+    };
+    kernels::forEachRange(dim_ / 4, dim_ * dim_, std::ref(body));
 }
 
 double
@@ -303,11 +272,21 @@ noisyDistribution(const qc::Circuit &circuit, const NoiseModel &noise)
         return clbitDistribution(rho.probabilities(), split.clbitSource);
     }
     const NoisySteps plan = noisySteps(split.body, noise);
-    for (const NoisyStep &step : plan.steps) {
+    const std::vector<NoisyStep> &steps = plan.steps;
+    for (std::size_t s = 0; s < steps.size(); ++s) {
+        const NoisyStep &step = steps[s];
         switch (step.kind) {
-          case NoisyStep::Kind::Gate:
-            rho.applyGate(split.body.gates()[step.index]);
+          case NoisyStep::Kind::Gate: {
+            // The gate's error, which noisySteps puts right after it,
+            // rides in the gate's pass over rho.
+            double p = 0.0;
+            if (s + 1 < steps.size() && steps[s + 1].index == step.index &&
+                (steps[s + 1].kind == NoisyStep::Kind::Pauli1 ||
+                 steps[s + 1].kind == NoisyStep::Kind::Pauli2))
+                p = steps[++s].p;
+            rho.applyGate(split.body.gates()[step.index], p);
             break;
+          }
           case NoisyStep::Kind::Pauli1:
             rho.depolarize1(step.q0, step.p);
             break;

@@ -14,10 +14,12 @@
  *
  * Layout: rho is row-major, entry (r, c) at index r * 2^n + c, which
  * is the memory layout of a 2n-qubit state vector: column qubit q is
- * index bit q and row qubit q is index bit n + q. Gates run on the
- * statevector's kernels (sim/dense_kernels.hpp): U rho U^dagger is U
- * on the row bits, then the entrywise conjugate of U on the column
- * bits; CCX / CSWAP are the same permutation on both halves.
+ * index bit q and row qubit q is index bit n + q. A 1q/2q step walks
+ * the 2x2 (4x4) blocks of its qubits once (kernels::dmPairRange /
+ * dmQuadRange): U on the rows, the entrywise conjugate of U on the
+ * columns, then the gate's error or the channel, one block at a time.
+ * CCX / CSWAP are the statevector's permutation on the row bits, then
+ * on the column bits.
  */
 
 #ifndef SMQ_SIM_DENSITY_MATRIX_HPP
@@ -34,6 +36,10 @@
 
 namespace smq::sim {
 
+namespace kernels {
+struct DmChannel;
+} // namespace kernels
+
 /** A mixed state over n qubits (dense 2^n x 2^n matrix). */
 class DensityMatrix
 {
@@ -48,14 +54,26 @@ class DensityMatrix
     /** Element rho[r][c]. */
     Complex element(std::size_t r, std::size_t c) const;
 
-    /** Apply a one-qubit unitary: rho <- U rho U^dagger. */
-    void applyMatrix1(std::size_t q, const Matrix2 &u);
+    /**
+     * Apply a one-qubit unitary, rho <- U rho U^dagger, then, when
+     * @p p > 0, depolarize1(q, p), in one pass over rho.
+     */
+    void applyMatrix1(std::size_t q, const Matrix2 &u, double p = 0.0);
 
-    /** Apply a two-qubit unitary (basis as in gate_matrices.hpp). */
-    void applyMatrix2(std::size_t q0, std::size_t q1, const Matrix4 &u);
+    /**
+     * Apply a two-qubit unitary (basis as in gate_matrices.hpp), then,
+     * when @p p > 0, depolarize2(q0, q1, p), in one pass over rho.
+     */
+    void applyMatrix2(std::size_t q0, std::size_t q1, const Matrix4 &u,
+                      double p = 0.0);
 
-    /** Apply one unitary gate. */
-    void applyGate(const qc::Gate &gate);
+    /**
+     * Apply one unitary gate and, when @p p > 0, its depolarising
+     * error on its qubits, in one pass. Bit-identical to the gate and
+     * then depolarize1/2. @throws std::invalid_argument for p > 0 on a
+     * 3-qubit gate, which carries no error.
+     */
+    void applyGate(const qc::Gate &gate, double p = 0.0);
 
     /** Apply a pre-fused instruction sequence (see sim/fusion.hpp). */
     void applyFused(const std::vector<FusedOp> &ops);
@@ -63,7 +81,8 @@ class DensityMatrix
     /** One-qubit depolarising channel with probability p. */
     void depolarize1(std::size_t q, double p);
 
-    /** Two-qubit depolarising channel with probability p. */
+    /** Two-qubit depolarising channel with probability p.
+     *  @throws std::invalid_argument when qa == qb. */
     void depolarize2(std::size_t qa, std::size_t qb, double p);
 
     /**
@@ -85,6 +104,14 @@ class DensityMatrix
 
   private:
     void checkQubit(std::size_t q) const;
+    /** Both in range and distinct. */
+    void checkPair(std::size_t q0, std::size_t q1) const;
+
+    /** One dispatch of the block walker; @p u may be null. */
+    void step1(std::size_t q, const Matrix2 *u,
+               const kernels::DmChannel &channel);
+    void step2(std::size_t q0, std::size_t q1, const Matrix4 *u,
+               const kernels::DmChannel &channel);
 
     std::size_t numQubits_;
     std::size_t dim_;

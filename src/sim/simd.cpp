@@ -1,6 +1,7 @@
 #include "sim/simd.hpp"
 
 #include <algorithm>
+#include <complex>
 #include <type_traits>
 
 #include "obs/metrics.hpp"
@@ -19,6 +20,12 @@ void quadRangeAvx2(Complex *amps, std::size_t kb, std::size_t ke,
 void idleChainsAvx2(Complex *const *chains, std::size_t count,
                     std::size_t len, std::size_t q, const IdleScale *scale,
                     std::size_t qs, double *sums);
+void dmPairRangeAvx2(Complex *rho, std::size_t n, std::size_t pb,
+                     std::size_t pe, std::size_t q, const Matrix2 *u,
+                     const DmChannel &channel);
+void dmQuadRangeAvx2(Complex *rho, std::size_t n, std::size_t kb,
+                     std::size_t ke, std::size_t q0, std::size_t q1,
+                     const Matrix4 *u, const DmChannel &channel);
 #endif
 
 void
@@ -220,6 +227,220 @@ idleChains(Complex *const *chains, std::size_t count, std::size_t len,
     }
 #endif
     idleChainsScalar(chains, count, len, q, scale, qs, sums);
+}
+
+namespace {
+
+using ChannelKind = DmChannel::Kind;
+
+template <ChannelKind kKind>
+using KindTag = std::integral_constant<ChannelKind, kKind>;
+
+/**
+ * fn(gate, kind) with each a std::integral_constant: whether @p u is
+ * set and which channel @p kind names. A call with neither, or with
+ * a gate and Relax, does nothing.
+ */
+template <typename Fn>
+void
+dispatchDm(const void *u, ChannelKind kind, const Fn &fn)
+{
+    auto byKind = [&](auto gate) {
+        switch (kind) {
+          case ChannelKind::None:
+            if constexpr (decltype(gate)::value)
+                fn(gate, KindTag<ChannelKind::None>{});
+            return;
+          case ChannelKind::Depolarize:
+            fn(gate, KindTag<ChannelKind::Depolarize>{});
+            return;
+          case ChannelKind::Relax:
+            if constexpr (!decltype(gate)::value)
+                fn(gate, KindTag<ChannelKind::Relax>{});
+            return;
+        }
+    };
+    if (u != nullptr)
+        byKind(std::true_type{});
+    else
+        byKind(std::false_type{});
+}
+
+/** (a0, a1) <- m (a0, a1) in pairRangeScalar's expressions. */
+inline void
+pairMul(const Matrix2 &m, Complex &a0, Complex &a1)
+{
+    const Complex lo = coeffMul(m[0], a0) + coeffMul(m[1], a1);
+    a1 = coeffMul(m[2], a0) + coeffMul(m[3], a1);
+    a0 = lo;
+}
+
+/**
+ * (a[0], a[s], a[2s], a[3s]) <- m times them, folded as
+ * quadRangeScalar folds: seeded from the first product, left to right.
+ */
+inline void
+quadMul(const Matrix4 &m, Complex *a, std::size_t s)
+{
+    Complex out[4];
+    for (std::size_t r = 0; r < 4; ++r) {
+        Complex acc = coeffMul(m[4 * r], a[0]);
+        for (std::size_t x = 1; x < 4; ++x)
+            acc += coeffMul(m[4 * r + x], a[x * s]);
+        out[r] = acc;
+    }
+    for (std::size_t r = 0; r < 4; ++r)
+        a[r * s] = out[r];
+}
+
+/**
+ * m's entrywise conjugate, the matrix a column pass applies:
+ * (rho U^dagger)[r][c] = sum_k conj(u[c][k]) rho[r][k], so the column
+ * bits take conj(U), not its transpose.
+ */
+template <typename M>
+M
+conjugate(const M &m)
+{
+    M d;
+    for (std::size_t k = 0; k < m.size(); ++k)
+        d[k] = std::conj(m[k]);
+    return d;
+}
+
+/**
+ * dmPairRange's reference body. b holds a block as b00, b01, b10, b11
+ * (row, column); it walks the column pairs of each row pair in runs.
+ */
+template <bool kGate, ChannelKind kKind>
+void
+dmPairScalar(Complex *rho, std::size_t n, std::size_t pb, std::size_t pe,
+             std::size_t q, const Matrix2 *u, const DmChannel &ch)
+{
+    const std::size_t dim = std::size_t{1} << n;
+    const std::size_t s = std::size_t{1} << q;
+    const Matrix2 m = kGate ? *u : Matrix2{};
+    const Matrix2 d = conjugate(m);
+    for (std::size_t p = pb; p < pe; ++p) {
+        Complex *row0 = rho + dense::expand1(p, q) * dim;
+        Complex *row1 = row0 + s * dim;
+        dense::forPairRuns(0, dim / 2, q, [&](std::size_t c0, std::size_t run) {
+            for (std::size_t c = c0; c < c0 + run; ++c) {
+                Complex b[4] = {row0[c], row0[c + s], row1[c], row1[c + s]};
+                if constexpr (kGate) {
+                    pairMul(m, b[0], b[2]);
+                    pairMul(m, b[1], b[3]);
+                    pairMul(d, b[0], b[1]);
+                    pairMul(d, b[2], b[3]);
+                }
+                if constexpr (kKind == ChannelKind::Depolarize) {
+                    const Complex b00 = b[0], b11 = b[3];
+                    b[0] = ch.f0 * b00 + ch.f1 * b11;
+                    b[3] = ch.f1 * b00 + ch.f0 * b11;
+                } else if constexpr (kKind == ChannelKind::Relax) {
+                    const Complex b11 = b[3];
+                    b[0] += ch.f0 * b11;
+                    b[3] = ch.f1 * b11;
+                }
+                if constexpr (kKind != ChannelKind::None) {
+                    b[1] *= ch.f2;
+                    b[2] *= ch.f2;
+                }
+                row0[c] = b[0];
+                row0[c + s] = b[1];
+                row1[c] = b[2];
+                row1[c + s] = b[3];
+            }
+        });
+    }
+}
+
+/** dmQuadRange's reference body; b[i][j] is row i, column j of a block. */
+template <bool kGate, ChannelKind kKind>
+void
+dmQuadScalar(Complex *rho, std::size_t n, std::size_t kb, std::size_t ke,
+             std::size_t q0, std::size_t q1, const Matrix4 *u,
+             const DmChannel &ch)
+{
+    static_assert(kKind != ChannelKind::Relax, "no two-qubit relaxation");
+    const std::size_t dim = std::size_t{1} << n;
+    const std::size_t s0 = std::size_t{1} << q0;
+    const std::size_t s1 = std::size_t{1} << q1;
+    const std::size_t low = std::min(q0, q1), high = std::max(q0, q1);
+    const std::size_t off[4] = {0, s1, s0, s0 + s1};
+    const Matrix4 m = kGate ? *u : Matrix4{};
+    const Matrix4 d = conjugate(m);
+    for (std::size_t k = kb; k < ke; ++k) {
+        const std::size_t r = dense::expand2(k, low, high);
+        Complex *rows[4];
+        for (std::size_t i = 0; i < 4; ++i)
+            rows[i] = rho + (r + off[i]) * dim;
+        for (std::size_t kc = 0; kc < dim / 4; ++kc) {
+            const std::size_t c = dense::expand2(kc, low, high);
+            Complex b[4][4];
+            for (std::size_t i = 0; i < 4; ++i)
+                for (std::size_t j = 0; j < 4; ++j)
+                    b[i][j] = rows[i][c + off[j]];
+            if constexpr (kGate) {
+                for (std::size_t j = 0; j < 4; ++j)
+                    quadMul(m, &b[0][j], 4);
+                for (std::size_t i = 0; i < 4; ++i)
+                    quadMul(d, b[i], 1);
+            }
+            if constexpr (kKind == ChannelKind::Depolarize) {
+                const Complex tr = b[0][0] + b[1][1] + b[2][2] + b[3][3];
+                for (std::size_t i = 0; i < 4; ++i) {
+                    for (std::size_t j = 0; j < 4; ++j) {
+                        Complex v = ch.f0 * b[i][j];
+                        if (i == j)
+                            v += ch.f1 * tr;
+                        b[i][j] = v;
+                    }
+                }
+            }
+            for (std::size_t i = 0; i < 4; ++i)
+                for (std::size_t j = 0; j < 4; ++j)
+                    rows[i][c + off[j]] = b[i][j];
+        }
+    }
+}
+
+} // namespace
+
+void
+dmPairRange(Complex *rho, std::size_t n, std::size_t pb, std::size_t pe,
+            std::size_t q, const Matrix2 *u, const DmChannel &channel)
+{
+#ifdef SMQ_HAVE_AVX2
+    // The AVX2 body packs two blocks to a vector; one qubit has one.
+    if (usingAvx2() && n > 1) {
+        dmPairRangeAvx2(rho, n, pb, pe, q, u, channel);
+        return;
+    }
+#endif
+    dispatchDm(u, channel.kind, [&](auto gate, auto kind) {
+        dmPairScalar<decltype(gate)::value, decltype(kind)::value>(
+            rho, n, pb, pe, q, u, channel);
+    });
+}
+
+void
+dmQuadRange(Complex *rho, std::size_t n, std::size_t kb, std::size_t ke,
+            std::size_t q0, std::size_t q1, const Matrix4 *u,
+            const DmChannel &channel)
+{
+#ifdef SMQ_HAVE_AVX2
+    // Two blocks to a vector: two qubits have one column quad a row.
+    if (usingAvx2() && n > 2) {
+        dmQuadRangeAvx2(rho, n, kb, ke, q0, q1, u, channel);
+        return;
+    }
+#endif
+    dispatchDm(u, channel.kind, [&](auto gate, auto kind) {
+        if constexpr (decltype(kind)::value != ChannelKind::Relax)
+            dmQuadScalar<decltype(gate)::value, decltype(kind)::value>(
+                rho, n, kb, ke, q0, q1, u, channel);
+    });
 }
 
 void

@@ -2,7 +2,7 @@
  * @file
  * Vectorised complex inner loops for the dense simulators.
  *
- * Both dense engines reduce every matrix application to two range
+ * The statevector reduces every matrix application to two range
  * kernels, one call per dispatched index range:
  *
  *   pairRange: (lo, hi) <- M2 (lo, hi)  for each bit-q pair,
@@ -23,6 +23,11 @@
  * it multiplies amplitudes by real factors chosen by one index bit,
  * sums |a|^2 over the amplitudes with another bit set, or both in one
  * pass, over up to four reduce chains side by side.
+ *
+ * The density matrix has block walkers of its own, dmPairRange and
+ * dmQuadRange: one call per dispatched range of row pairs (quads)
+ * applies a gate's U rho U^dagger and the channel after it to one
+ * 2x2 (4x4) block at a time, so a noisy step reads and writes rho once.
  */
 
 #ifndef SMQ_SIM_SIMD_HPP
@@ -67,6 +72,47 @@ void pairRangeScalar(Complex *amps, std::size_t pb, std::size_t pe,
                      std::size_t q, const Matrix2 &m);
 void quadRangeScalar(Complex *amps, std::size_t kb, std::size_t ke,
                      std::size_t q0, std::size_t q1, const Matrix4 &m);
+
+/**
+ * The closed-form channel a density-matrix block pass applies after
+ * its gate, per block B of the operand qubits' subsystem.
+ */
+struct DmChannel
+{
+    enum class Kind : unsigned char {
+        None,       ///< no channel
+        Depolarize, ///< 1q: b00 <- f0 b00 + f1 b11, b11 <- f1 b00 + f0 b11,
+                    ///< off-diagonal *= f2; 2q: B <- f0 B, then each
+                    ///< diagonal entry += f1 Tr(B)
+        Relax,      ///< 1q, no gate: b00 += f0 b11, b11 <- f1 b11,
+                    ///< off-diagonal *= f2
+    };
+    Kind kind = Kind::None;
+    double f0 = 0.0, f1 = 0.0, f2 = 0.0;
+};
+
+/**
+ * One density-matrix step on the 2x2 blocks of qubit @p q of the
+ * n-qubit rho (row-major 2^n x 2^n; pass @p n) whose row pairs are
+ * [@p pb, @p pe). Row pair p is rows r0 (p with a zero inserted at bit
+ * q) and r0 + 2^q; a block is those rows at columns c0 and c0 + 2^q.
+ * Per block: with @p u, U on each column's row pair, then conj(U) on
+ * each row's column pair (U rho U^dagger); then @p channel. Every
+ * element sees pairRange's expressions in the order of a row pass, a
+ * column pass and a channel pass over the whole matrix.
+ */
+void dmPairRange(Complex *rho, std::size_t n, std::size_t pb, std::size_t pe,
+                 std::size_t q, const Matrix2 *u, const DmChannel &channel);
+
+/**
+ * The two-qubit step on the 4x4 blocks of qubits (@p q0, @p q1) whose
+ * row quads are [@p kb, @p ke), in quadRange's quad order on rows and
+ * on columns: U on each column's row quad, then conj(U) on each row's
+ * column quad, then @p channel (None or Depolarize). @pre q0 != q1.
+ */
+void dmQuadRange(Complex *rho, std::size_t n, std::size_t kb, std::size_t ke,
+                 std::size_t q0, std::size_t q1, const Matrix4 *u,
+                 const DmChannel &channel);
 
 /** idleChains bit meaning "no bit of the chain": see idleChains. */
 inline constexpr std::size_t kNoBit = ~std::size_t{0};

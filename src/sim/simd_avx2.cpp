@@ -1,6 +1,6 @@
 /**
  * @file
- * AVX2 bodies for the pair/quad range kernels — the only TU built with
+ * AVX2 bodies for the range kernels and walkers — the only TU built with
  * -mavx2 (and deliberately *not* -mfma: the scalar reference path has
  * no fused multiply-adds, and bitwise agreement between the two is a
  * tested invariant, so the vector path must round every product the
@@ -17,6 +17,11 @@
  * and quads whose lower bit is bit 0 go two to a vector. Every element
  * still sees the scalar body's products and sums in the scalar order.
  *
+ * The density matrix's block walkers hold element (i, j) of two
+ * neighbouring blocks in one vector, so each block's row pass, column
+ * pass and channel run as the scalar body runs them on one block; at
+ * bit 0 the blocks are regathered by 128-bit halves the same way.
+ *
  * The idle walker holds one pair per vector too, so a stride-1 scale
  * is one multiply by [f0, f0, f1, f1]. Its sums keep the four chains'
  * accumulators in the four lanes of one vector: lane k starts from
@@ -27,6 +32,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <array>
 #include <type_traits>
 
 #include "sim/simd.hpp"
@@ -93,12 +99,47 @@ quadFold(const CoeffVec (&c)[16], const __m256d (&in)[4], __m256d (&out)[4])
 }
 
 /**
+ * The quad-order operands v[0..3] (offsets 0, s1, s0, s0 + s1) of the
+ * quads at @p a and @p b of a gate whose lower bit is bit 0, quad a in
+ * each vector's low half and quad b in its high half, regathered from
+ * their bit-0 pairs by 128-bit halves.
+ */
+template <bool kFirstOnBit0>
+[[gnu::always_inline]] inline void
+gatherBit0(const double *base, std::size_t a, std::size_t b,
+           std::size_t sHigh, __m256d (&v)[4])
+{
+    const __m256d la = _mm256_loadu_pd(base + 2 * a);
+    const __m256d lb = _mm256_loadu_pd(base + 2 * b);
+    const __m256d ha = _mm256_loadu_pd(base + 2 * (a + sHigh));
+    const __m256d hb = _mm256_loadu_pd(base + 2 * (b + sHigh));
+    const __m256d e1 = _mm256_permute2f128_pd(la, lb, 0x31);
+    const __m256d e2 = _mm256_permute2f128_pd(ha, hb, 0x20);
+    v[0] = _mm256_permute2f128_pd(la, lb, 0x20);
+    v[1] = kFirstOnBit0 ? e2 : e1;
+    v[2] = kFirstOnBit0 ? e1 : e2;
+    v[3] = _mm256_permute2f128_pd(ha, hb, 0x31);
+}
+
+/** gatherBit0's inverse. */
+template <bool kFirstOnBit0>
+[[gnu::always_inline]] inline void
+scatterBit0(double *base, std::size_t a, std::size_t b, std::size_t sHigh,
+            const __m256d (&v)[4])
+{
+    const __m256d e1 = kFirstOnBit0 ? v[2] : v[1];
+    const __m256d e2 = kFirstOnBit0 ? v[1] : v[2];
+    _mm256_storeu_pd(base + 2 * a, _mm256_permute2f128_pd(v[0], e1, 0x20));
+    _mm256_storeu_pd(base + 2 * b, _mm256_permute2f128_pd(v[0], e1, 0x31));
+    _mm256_storeu_pd(base + 2 * (a + sHigh),
+                     _mm256_permute2f128_pd(e2, v[3], 0x20));
+    _mm256_storeu_pd(base + 2 * (b + sHigh),
+                     _mm256_permute2f128_pd(e2, v[3], 0x31));
+}
+
+/**
  * Quads k and k + 1 of a (0, @p high) gate side by side, from @p kb
- * while two remain before @p ke; returns where it stopped. e[x] holds
- * the amplitude with bit 0 = x & 1 and the high bit = x >> 1 of both
- * quads, gathered from their bit-0 pairs by 128-bit halves. The
- * operands a0..a3 are e[0], e[2], e[1], e[3] when the first operand
- * is on bit 0 and e[0..3] when the second is.
+ * while two remain before @p ke; returns where it stopped.
  */
 template <bool kFirstOnBit0>
 std::size_t
@@ -108,28 +149,12 @@ quadPairsOnBit0(double *base, std::size_t kb, std::size_t ke,
     const std::size_t sHigh = std::size_t{1} << high;
     std::size_t k = kb;
     for (; k + 2 <= ke; k += 2) {
-        double *a = base + 2 * insertZero(2 * k, high);
-        double *b = base + 2 * insertZero(2 * k + 2, high);
-        const __m256d la = _mm256_loadu_pd(a);
-        const __m256d lb = _mm256_loadu_pd(b);
-        const __m256d ha = _mm256_loadu_pd(a + 2 * sHigh);
-        const __m256d hb = _mm256_loadu_pd(b + 2 * sHigh);
-        const __m256d e0 = _mm256_permute2f128_pd(la, lb, 0x20);
-        const __m256d e1 = _mm256_permute2f128_pd(la, lb, 0x31);
-        const __m256d e2 = _mm256_permute2f128_pd(ha, hb, 0x20);
-        const __m256d e3 = _mm256_permute2f128_pd(ha, hb, 0x31);
-        const __m256d in[4] = {e0, kFirstOnBit0 ? e2 : e1,
-                               kFirstOnBit0 ? e1 : e2, e3};
-        __m256d out[4];
+        const std::size_t a = insertZero(2 * k, high);
+        const std::size_t b = insertZero(2 * k + 2, high);
+        __m256d in[4], out[4];
+        gatherBit0<kFirstOnBit0>(base, a, b, sHigh, in);
         quadFold(c, in, out);
-        const __m256d f1 = kFirstOnBit0 ? out[2] : out[1];
-        const __m256d f2 = kFirstOnBit0 ? out[1] : out[2];
-        _mm256_storeu_pd(a, _mm256_permute2f128_pd(out[0], f1, 0x20));
-        _mm256_storeu_pd(b, _mm256_permute2f128_pd(out[0], f1, 0x31));
-        _mm256_storeu_pd(a + 2 * sHigh,
-                         _mm256_permute2f128_pd(f2, out[3], 0x20));
-        _mm256_storeu_pd(b + 2 * sHigh,
-                         _mm256_permute2f128_pd(f2, out[3], 0x31));
+        scatterBit0<kFirstOnBit0>(base, a, b, sHigh, out);
     }
     return k;
 }
@@ -279,6 +304,260 @@ dispatchIdle(std::size_t count, const IdleScale *scale, std::size_t qs,
         byScale(std::integral_constant<std::size_t, kIdleChains>{});
         return;
     }
+}
+
+// The density matrix's block walkers hold two blocks side by side:
+// vector b[i][j] is element (i, j) of one block in its low half and
+// of the next block along the row in its high half.
+
+using ChannelKind = DmChannel::Kind;
+
+template <ChannelKind kKind>
+using KindTag = std::integral_constant<ChannelKind, kKind>;
+
+/** fn(gate, kind) as std::integral_constants; see simd.cpp's twin. */
+template <typename Fn>
+void
+dispatchDm(const void *u, ChannelKind kind, const Fn &fn)
+{
+    auto byKind = [&](auto gate) {
+        switch (kind) {
+          case ChannelKind::None:
+            if constexpr (decltype(gate)::value)
+                fn(gate, KindTag<ChannelKind::None>{});
+            return;
+          case ChannelKind::Depolarize:
+            fn(gate, KindTag<ChannelKind::Depolarize>{});
+            return;
+          case ChannelKind::Relax:
+            if constexpr (!decltype(gate)::value)
+                fn(gate, KindTag<ChannelKind::Relax>{});
+            return;
+        }
+    };
+    if (u != nullptr)
+        byKind(std::true_type{});
+    else
+        byKind(std::false_type{});
+}
+
+/** U's coefficients and conj(U)'s, broadcast; the conjugate negates
+ *  each imaginary part, as std::conj does. */
+template <std::size_t kSize>
+void
+gateCoeffs(const std::array<Complex, kSize> *u, CoeffVec (&m)[kSize],
+           CoeffVec (&d)[kSize])
+{
+    for (std::size_t k = 0; k < kSize; ++k) {
+        m[k] = broadcast((*u)[k]);
+        d[k] = {m[k].re, _mm256_set1_pd(-(*u)[k].imag())};
+    }
+}
+
+/** (a0, a1) <- m (a0, a1), pairRangeAvx2's sums. */
+[[gnu::always_inline]] inline void
+pairMul(const CoeffVec (&m)[4], __m256d &a0, __m256d &a1)
+{
+    const __m256d lo = _mm256_add_pd(mulCoeff(m[0], a0), mulCoeff(m[1], a1));
+    a1 = _mm256_add_pd(mulCoeff(m[2], a0), mulCoeff(m[3], a1));
+    a0 = lo;
+}
+
+/** One step on two 2x2 blocks b00, b01, b10, b11; f: the channel's
+ *  f0, f1, f2. */
+template <bool kGate, ChannelKind kKind>
+[[gnu::always_inline]] inline void
+pairBlocks(const CoeffVec (&m)[4], const CoeffVec (&d)[4],
+           const __m256d (&f)[3], __m256d (&b)[4])
+{
+    if constexpr (kGate) {
+        pairMul(m, b[0], b[2]);
+        pairMul(m, b[1], b[3]);
+        pairMul(d, b[0], b[1]);
+        pairMul(d, b[2], b[3]);
+    }
+    if constexpr (kKind == ChannelKind::Depolarize) {
+        const __m256d b00 = b[0], b11 = b[3];
+        b[0] = _mm256_add_pd(_mm256_mul_pd(f[0], b00),
+                             _mm256_mul_pd(f[1], b11));
+        b[3] = _mm256_add_pd(_mm256_mul_pd(f[1], b00),
+                             _mm256_mul_pd(f[0], b11));
+    } else if constexpr (kKind == ChannelKind::Relax) {
+        b[0] = _mm256_add_pd(b[0], _mm256_mul_pd(f[0], b[3]));
+        b[3] = _mm256_mul_pd(f[1], b[3]);
+    }
+    if constexpr (kKind != ChannelKind::None) {
+        b[1] = _mm256_mul_pd(b[1], f[2]);
+        b[2] = _mm256_mul_pd(b[2], f[2]);
+    }
+}
+
+/**
+ * U on each column's row quad of two 4x4 blocks, then conj(U) on each
+ * row's column quad. noinline: the blocks go through memory between
+ * the two passes either way, and one copy serves every channel and
+ * column layout.
+ */
+[[gnu::noinline]] void
+quadGate(const CoeffVec (&m)[16], const CoeffVec (&d)[16],
+         __m256d (&b)[4][4])
+{
+#pragma GCC unroll 4
+    for (int j = 0; j < 4; ++j) {
+        const __m256d in[4] = {b[0][j], b[1][j], b[2][j], b[3][j]};
+        __m256d out[4];
+        quadFold(m, in, out);
+#pragma GCC unroll 4
+        for (int i = 0; i < 4; ++i)
+            b[i][j] = out[i];
+    }
+#pragma GCC unroll 4
+    for (int i = 0; i < 4; ++i) {
+        const __m256d in[4] = {b[i][0], b[i][1], b[i][2], b[i][3]};
+        quadFold(d, in, b[i]);
+    }
+}
+
+/** The two-qubit twirl on two 4x4 blocks: B <- f0 B + f1 Tr(B) I. */
+[[gnu::always_inline]] inline void
+quadTwirl(const __m256d (&f)[3], __m256d (&b)[4][4])
+{
+    const __m256d tr = _mm256_add_pd(
+        _mm256_add_pd(_mm256_add_pd(b[0][0], b[1][1]), b[2][2]), b[3][3]);
+    const __m256d diag = _mm256_mul_pd(f[1], tr);
+#pragma GCC unroll 4
+    for (int i = 0; i < 4; ++i) {
+#pragma GCC unroll 4
+        for (int j = 0; j < 4; ++j) {
+            b[i][j] = _mm256_mul_pd(f[0], b[i][j]);
+            if (i == j)
+                b[i][j] = _mm256_add_pd(b[i][j], diag);
+        }
+    }
+}
+
+template <bool kGate, ChannelKind kKind>
+void
+dmPairAvx2(double *base, std::size_t n, std::size_t pb, std::size_t pe,
+           std::size_t q, const Matrix2 *u, const DmChannel &ch)
+{
+    CoeffVec m[4] = {}, d[4] = {};
+    if constexpr (kGate)
+        gateCoeffs(u, m, d);
+    const __m256d f[3] = {_mm256_set1_pd(ch.f0), _mm256_set1_pd(ch.f1),
+                          _mm256_set1_pd(ch.f2)};
+    const std::size_t dim = std::size_t{1} << n;
+    const std::size_t s = std::size_t{1} << q;
+    for (std::size_t p = pb; p < pe; ++p) {
+        double *row0 = base + 2 * dim * insertZero(p, q);
+        double *row1 = row0 + 2 * dim * s;
+        if (q == 0) {
+            // Blocks (c, c + 1) and (c + 2, c + 3), regathered by
+            // 128-bit halves.
+            for (std::size_t c = 0; c < dim; c += 4) {
+                const __m256d l0 = _mm256_loadu_pd(row0 + 2 * c);
+                const __m256d h0 = _mm256_loadu_pd(row0 + 2 * c + 4);
+                const __m256d l1 = _mm256_loadu_pd(row1 + 2 * c);
+                const __m256d h1 = _mm256_loadu_pd(row1 + 2 * c + 4);
+                __m256d b[4] = {_mm256_permute2f128_pd(l0, h0, 0x20),
+                                _mm256_permute2f128_pd(l0, h0, 0x31),
+                                _mm256_permute2f128_pd(l1, h1, 0x20),
+                                _mm256_permute2f128_pd(l1, h1, 0x31)};
+                pairBlocks<kGate, kKind>(m, d, f, b);
+                _mm256_storeu_pd(row0 + 2 * c,
+                                 _mm256_permute2f128_pd(b[0], b[1], 0x20));
+                _mm256_storeu_pd(row0 + 2 * c + 4,
+                                 _mm256_permute2f128_pd(b[0], b[1], 0x31));
+                _mm256_storeu_pd(row1 + 2 * c,
+                                 _mm256_permute2f128_pd(b[2], b[3], 0x20));
+                _mm256_storeu_pd(row1 + 2 * c + 4,
+                                 _mm256_permute2f128_pd(b[2], b[3], 0x31));
+            }
+            continue;
+        }
+        for (std::size_t c0 = 0; c0 < dim; c0 += 2 * s) {
+            for (std::size_t c = c0; c < c0 + s; c += 2) {
+                double *x[4] = {row0 + 2 * c, row0 + 2 * (c + s),
+                                row1 + 2 * c, row1 + 2 * (c + s)};
+                __m256d b[4] = {_mm256_loadu_pd(x[0]), _mm256_loadu_pd(x[1]),
+                                _mm256_loadu_pd(x[2]), _mm256_loadu_pd(x[3])};
+                pairBlocks<kGate, kKind>(m, d, f, b);
+#pragma GCC unroll 4
+                for (int i = 0; i < 4; ++i)
+                    _mm256_storeu_pd(x[i], b[i]);
+            }
+        }
+    }
+}
+
+template <bool kGate, ChannelKind kKind>
+void
+dmQuadAvx2(double *base, std::size_t n, std::size_t kb, std::size_t ke,
+           std::size_t q0, std::size_t q1, const Matrix4 *u,
+           const DmChannel &ch)
+{
+    CoeffVec m[16] = {}, d[16] = {};
+    if constexpr (kGate)
+        gateCoeffs(u, m, d);
+    const __m256d f[3] = {_mm256_set1_pd(ch.f0), _mm256_set1_pd(ch.f1),
+                          _mm256_set1_pd(ch.f2)};
+    const std::size_t dim = std::size_t{1} << n;
+    const std::size_t s0 = std::size_t{1} << q0;
+    const std::size_t s1 = std::size_t{1} << q1;
+    const std::size_t low = std::min(q0, q1), high = std::max(q0, q1);
+    const std::size_t sHigh = std::size_t{1} << high;
+    const std::size_t off[4] = {0, s1, s0, s0 + s1};
+    // Column quads kc and kc + 1 side by side, in a row's quad order.
+    auto walk = [&](auto gather, auto scatter) {
+        for (std::size_t k = kb; k < ke; ++k) {
+            const std::size_t r = insertZero(insertZero(k, low), high);
+            double *rows[4];
+            for (std::size_t i = 0; i < 4; ++i)
+                rows[i] = base + 2 * dim * (r + off[i]);
+            for (std::size_t kc = 0; kc < dim / 4; kc += 2) {
+                __m256d b[4][4];
+                for (std::size_t i = 0; i < 4; ++i)
+                    gather(rows[i], kc, b[i]);
+                if constexpr (kGate)
+                    quadGate(m, d, b);
+                if constexpr (kKind == ChannelKind::Depolarize)
+                    quadTwirl(f, b);
+                for (std::size_t i = 0; i < 4; ++i)
+                    scatter(rows[i], kc, b[i]);
+            }
+        }
+    };
+    if (low > 0) {
+        // Quads kc and kc + 1 are adjacent columns.
+        walk(
+            [&](const double *row, std::size_t kc, __m256d(&v)[4]) {
+                const std::size_t c = insertZero(insertZero(kc, low), high);
+                for (std::size_t j = 0; j < 4; ++j)
+                    v[j] = _mm256_loadu_pd(row + 2 * (c + off[j]));
+            },
+            [&](double *row, std::size_t kc, const __m256d(&v)[4]) {
+                const std::size_t c = insertZero(insertZero(kc, low), high);
+                for (std::size_t j = 0; j < 4; ++j)
+                    _mm256_storeu_pd(row + 2 * (c + off[j]), v[j]);
+            });
+        return;
+    }
+    auto bit0 = [&](auto first) {
+        constexpr bool kFirst = decltype(first)::value;
+        walk(
+            [&](const double *row, std::size_t kc, __m256d(&v)[4]) {
+                gatherBit0<kFirst>(row, insertZero(2 * kc, high),
+                                   insertZero(2 * kc + 2, high), sHigh, v);
+            },
+            [&](double *row, std::size_t kc, const __m256d(&v)[4]) {
+                scatterBit0<kFirst>(row, insertZero(2 * kc, high),
+                                    insertZero(2 * kc + 2, high), sHigh, v);
+            });
+    };
+    if (q0 == 0)
+        bit0(std::true_type{});
+    else
+        bit0(std::false_type{});
 }
 
 } // namespace
@@ -453,6 +732,29 @@ quadRangeAvx2(Complex *amps, std::size_t kb, std::size_t ke, std::size_t q0,
             quadRangeScalar(amps, k + j, k + run, q0, q1, m);
         k += run;
     }
+}
+
+void
+dmPairRangeAvx2(Complex *rho, std::size_t n, std::size_t pb, std::size_t pe,
+                std::size_t q, const Matrix2 *u, const DmChannel &channel)
+{
+    dispatchDm(u, channel.kind, [&](auto gate, auto kind) {
+        dmPairAvx2<decltype(gate)::value, decltype(kind)::value>(
+            reinterpret_cast<double *>(rho), n, pb, pe, q, u, channel);
+    });
+}
+
+void
+dmQuadRangeAvx2(Complex *rho, std::size_t n, std::size_t kb, std::size_t ke,
+                std::size_t q0, std::size_t q1, const Matrix4 *u,
+                const DmChannel &channel)
+{
+    dispatchDm(u, channel.kind, [&](auto gate, auto kind) {
+        if constexpr (decltype(kind)::value != ChannelKind::Relax)
+            dmQuadAvx2<decltype(gate)::value, decltype(kind)::value>(
+                reinterpret_cast<double *>(rho), n, kb, ke, q0, q1, u,
+                channel);
+    });
 }
 
 } // namespace smq::sim::kernels

@@ -41,10 +41,14 @@ checkQubitIndex(std::size_t q, std::size_t num_qubits)
 
 namespace dense {
 
+namespace {
+
 // Each body below is passed as std::ref: a lambda of more than two
 // captures does not fit std::function's small buffer, and would cost a
-// heap allocation per gate.
+// heap allocation per gate. The matrix kernels do not bump
+// sim.kernel.simd_*: their callers record one SIMD path per gate.
 
+/** Apply a one-qubit matrix to index bit @p q. */
 void
 matrix1Kernel(Complex *amps, std::size_t size, std::size_t q,
               const Matrix2 &m)
@@ -55,6 +59,7 @@ matrix1Kernel(Complex *amps, std::size_t size, std::size_t q,
     kernels::forEachRange(size / 2, size, std::ref(body));
 }
 
+/** Apply a two-qubit matrix (basis |b0 b1>, see gate_matrices). */
 void
 matrix2Kernel(Complex *amps, std::size_t size, std::size_t q0,
               std::size_t q1, const Matrix4 &m)
@@ -64,6 +69,8 @@ matrix2Kernel(Complex *amps, std::size_t size, std::size_t q0,
     };
     kernels::forEachRange(size / 4, size, std::ref(body));
 }
+
+} // namespace
 
 void
 gateKernel(Complex *amps, std::size_t size, std::size_t n,

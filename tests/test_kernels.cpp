@@ -399,6 +399,46 @@ TEST(KernelThreshold, BoundaryDecidesParallelVsSerial)
     obs::setMetricsEnabled(false);
 }
 
+TEST(KernelThreshold, DensityMatrixGateAndErrorAreOneDispatch)
+{
+    // A density-matrix gate with its error is one walk over the 4^n
+    // entries of rho: one dispatch, parallel iff 4^n >= threshold. It
+    // still counts a gate and a channel apply, and one SIMD path.
+    constexpr std::size_t kQubits = 4;
+    constexpr std::size_t kElements = std::size_t{1} << (2 * kQubits);
+
+    obs::setMetricsEnabled(true);
+    obs::Counter &par_ops = obs::counter(obs::names::kSimKernelParallelOps);
+    obs::Counter &ser_ops = obs::counter(obs::names::kSimKernelSerialOps);
+    obs::Counter &applies = obs::counter(obs::names::kSimDmGateApplies);
+    obs::Counter &avx2 = obs::counter(obs::names::kSimKernelSimdAvx2);
+    obs::Counter &scalar = obs::counter(obs::names::kSimKernelSimdScalar);
+
+    kernels::KernelConfigGuard guard;
+    kernels::setKernelJobs(2);
+    const qc::Gate gates[] = {qc::Gate(qc::GateType::RX, {0}, {0.3}),
+                              qc::Gate(qc::GateType::CX, {3, 0})};
+    for (const qc::Gate &gate : gates) {
+        for (std::size_t threshold : {kElements, kElements + 1}) {
+            SCOPED_TRACE(gate.toString() + " threshold " +
+                         std::to_string(threshold));
+            kernels::setKernelThreshold(threshold);
+            sim::DensityMatrix rho(kQubits);
+            const std::uint64_t p0 = par_ops.value(), s0 = ser_ops.value();
+            const std::uint64_t a0 = applies.value();
+            const std::uint64_t v0 = avx2.value() + scalar.value();
+            rho.applyGate(gate, 0.01);
+            const std::uint64_t parallel = threshold <= kElements ? 1 : 0;
+            EXPECT_EQ(par_ops.value() - p0, parallel);
+            EXPECT_EQ(ser_ops.value() - s0, 1 - parallel);
+            EXPECT_EQ(applies.value() - a0, 2u);
+            EXPECT_EQ(avx2.value() + scalar.value() - v0, 1u);
+        }
+    }
+
+    obs::setMetricsEnabled(false);
+}
+
 TEST(KernelThreshold, SingleJobStaysSerial)
 {
     obs::setMetricsEnabled(true);
@@ -475,12 +515,13 @@ rhoHash(const sim::DensityMatrix &rho)
 }
 
 /**
- * Seeded random unitary circuit over every gate type, CCX and CSWAP
- * included. A local splitmix64 draws it, so the circuit depends on
- * nothing but the seed.
+ * Append 24 random gates, each of a type below @p types (GateType
+ * order) that fits the circuit's width, on distinct operands, with
+ * angles uniform in [-3, 3) from 53 random mantissa bits. A local
+ * splitmix64 draws them, so they depend on nothing but @p seed.
  */
-qc::Circuit
-seededFuzzCircuit(std::size_t n, std::uint64_t seed)
+void
+appendSeededGates(qc::Circuit &c, std::size_t types, std::uint64_t seed)
 {
     auto next = [&seed] {
         std::uint64_t z = (seed += 0x9e3779b97f4a7c15ull);
@@ -488,11 +529,12 @@ seededFuzzCircuit(std::size_t n, std::uint64_t seed)
         z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
         return z ^ (z >> 31);
     };
-    constexpr std::size_t kTypes =
-        static_cast<std::size_t>(qc::GateType::CSWAP) + 1;
-    qc::Circuit c(n);
-    for (std::size_t k = 0; k < 24; ++k) {
-        const auto type = static_cast<qc::GateType>(next() % kTypes);
+    const std::size_t n = c.numQubits();
+    const std::size_t end = c.gates().size() + 24;
+    while (c.gates().size() < end) {
+        const auto type = static_cast<qc::GateType>(next() % types);
+        if (qc::gateArity(type) > n)
+            continue;
         std::vector<qc::Qubit> qubits;
         while (qubits.size() < qc::gateArity(type)) {
             const auto q = static_cast<qc::Qubit>(next() % n);
@@ -501,12 +543,23 @@ seededFuzzCircuit(std::size_t n, std::uint64_t seed)
         }
         std::vector<double> params;
         for (std::size_t i = 0; i < qc::gateParamCount(type); ++i) {
-            // uniform in [-3, 3) from 53 random mantissa bits
             const double u = static_cast<double>(next() >> 11) * 0x1p-53;
             params.push_back(6.0 * u - 3.0);
         }
         c.append(qc::Gate(type, qubits, params));
     }
+}
+
+/**
+ * Seeded random unitary circuit over every gate type, CCX and CSWAP
+ * included, for n >= 3.
+ */
+qc::Circuit
+seededFuzzCircuit(std::size_t n, std::uint64_t seed)
+{
+    qc::Circuit c(n);
+    appendSeededGates(c, static_cast<std::size_t>(qc::GateType::CSWAP) + 1,
+                      seed);
     c.ccx(0, 1, 2).cswap(n - 1, 0, 1);
     return c;
 }
@@ -598,6 +651,184 @@ TEST(KernelPinned, DensityMatrixMatchesRecordedBits)
         EXPECT_EQ(fnv1a(six_casablanca.data(), six_casablanca.size()),
                   dist6_casablanca);
         EXPECT_EQ(fnv1a(six_aqt.data(), six_aqt.size()), dist6_aqt);
+    }
+}
+
+namespace {
+
+/**
+ * Seeded circuit of 24 one- and two-qubit gates of every type, then a
+ * dense 1q gate on bit 0 and on the top bit, 2q gates on (0, top),
+ * (top, 0), (1, 0) and (0, 1), and from n = 3 a CCX and 2q gates with
+ * the top bit first and second.
+ */
+qc::Circuit
+noisyStepCircuit(std::size_t n, std::uint64_t seed)
+{
+    qc::Circuit c(n);
+    appendSeededGates(c, static_cast<std::size_t>(qc::GateType::CCX), seed);
+    const auto top = static_cast<qc::Qubit>(n - 1);
+    c.u3(0.7, -1.3, 0.4, 0).ry(1.9, top);
+    if (n >= 2)
+        c.rxx(0.9, 0, top).ch(top, 0).cp(-0.6, 1, 0).ryy(1.3, 0, 1);
+    if (n >= 3)
+        c.ccx(0, 1, top).iswap(top, 1).cy(1, top);
+    return c;
+}
+
+/**
+ * rho after @p circuit's noisy steps under @p noise, as
+ * noisyDistribution runs them, then dense gates (every matrix entry
+ * nonzero) each with an error, on bit 0 and the top bit and a 2q gate
+ * in three operand orders, and two relaxations. With @p fold each
+ * error rides in its gate's call; without, it is a call of its own.
+ */
+sim::DensityMatrix
+runNoisySteps(const qc::Circuit &circuit, const sim::NoiseModel &noise,
+              bool fold)
+{
+    using Kind = sim::NoisyStep::Kind;
+    const std::size_t n = circuit.numQubits();
+    sim::DensityMatrix rho(n);
+    const sim::NoisySteps plan = sim::noisySteps(circuit, noise);
+    for (std::size_t s = 0; s < plan.steps.size(); ++s) {
+        const sim::NoisyStep &step = plan.steps[s];
+        switch (step.kind) {
+          case Kind::Gate: {
+            double p = 0.0;
+            if (fold && s + 1 < plan.steps.size() &&
+                (plan.steps[s + 1].kind == Kind::Pauli1 ||
+                 plan.steps[s + 1].kind == Kind::Pauli2))
+                p = plan.steps[++s].p;
+            rho.applyGate(circuit.gates()[step.index], p);
+            break;
+          }
+          case Kind::Pauli1:
+            rho.depolarize1(step.q0, step.p);
+            break;
+          case Kind::Pauli2:
+            rho.depolarize2(step.q0, step.q1, step.p);
+            break;
+          case Kind::Idle: {
+            const sim::IdleChannel &idle = plan.idle[step.index];
+            rho.thermalRelax(step.q0, idle.damp, idle.dephase);
+            break;
+          }
+          case Kind::Measure:
+          case Kind::Reset:
+            break;
+        }
+    }
+    auto apply1 = [&](std::size_t q, const sim::Matrix2 &u, double p) {
+        if (fold) {
+            rho.applyMatrix1(q, u, p);
+        } else {
+            rho.applyMatrix1(q, u);
+            rho.depolarize1(q, p);
+        }
+    };
+    auto apply2 = [&](std::size_t q0, std::size_t q1, const sim::Matrix4 &u,
+                      double p) {
+        if (fold) {
+            rho.applyMatrix2(q0, q1, u, p);
+        } else {
+            rho.applyMatrix2(q0, q1, u);
+            rho.depolarize2(q0, q1, p);
+        }
+    };
+    const std::size_t top = n - 1;
+    const sim::Matrix2 a =
+        sim::gateMatrix1(qc::Gate(qc::GateType::U3, {0}, {0.7, -1.3, 0.4}));
+    const sim::Matrix2 b =
+        sim::gateMatrix1(qc::Gate(qc::GateType::U3, {0}, {2.1, 0.5, -0.9}));
+    apply1(0, a, 0.011);
+    apply1(top, b, 0.013);
+    rho.thermalRelax(0, 0.02, 0.01);
+    rho.thermalRelax(top, 0.03, 0.0);
+    if (n >= 2) {
+        const sim::Matrix4 d = sim::multiply4(
+            sim::gateMatrix2(qc::Gate(qc::GateType::RXX, {0, 1}, {0.7})),
+            sim::kron(a, b));
+        apply2(0, top, d, 0.021);
+        apply2(top, 0, d, 0.023);
+        apply2(1, 0, d, 0.027);
+    }
+    return rho;
+}
+
+} // namespace
+
+TEST(KernelPinned, DensityMatrixNoisyStepsMatchRecordedBits)
+{
+    // Values recorded from the row pass, column pass and channel pass
+    // the density matrix made per step before one block walk replaced
+    // them. Each width's rho is pinned twice over, its errors in calls
+    // of their own and folded into their gates, and its noisy
+    // distribution as the FNV-1a of its "%a" text. Pinned for x86-64
+    // glibc only, as the other pins are.
+#if !defined(__x86_64__) || !defined(__GLIBC__)
+    GTEST_SKIP() << "bits pinned for x86-64 glibc builds only";
+#endif
+    struct Pinned
+    {
+        std::size_t n;
+        std::uint64_t rho[2];  // Casablanca, AQT
+        std::uint64_t dist[2]; // Casablanca, AQT
+    };
+    const Pinned pinned[] = {
+        {1, {0x6703e73323a7b35cull, 0x29e450868579f094ull},
+         {0x9098a938e32a69eeull, 0x326b4e82fe0a70c5ull}},
+        {2, {0xacf48dce516062afull, 0x99bb70387e2a8ffcull},
+         {0xa94387fb72810f49ull, 0xc8fa877f0facac86ull}},
+        {3, {0x163973999bcd982dull, 0x67d856a9b946a77eull},
+         {0xc007d86e1f8eee01ull, 0x2d66cb14e9fa5bc0ull}},
+        {4, {0xb93f2028ac58efa2ull, 0xe9b0570d2204b73dull},
+         {0x1b1498e64e2eff13ull, 0xeceb24358e6f66d1ull}},
+        {5, {0xdefcbb49ffeadd77ull, 0xece2932fefce36f4ull},
+         {0xb9b31a9389097ec1ull, 0xd5d8c72a91bc2478ull}},
+        {6, {0xffc15f6033bf31eeull, 0x54ec5211c4a0fb8aull},
+         {0x59c12f53c7fbc448ull, 0x3f57efbbc08baeebull}},
+        {7, {0x48c6e3a0ed1e00c3ull, 0xabef1f8d8fb4b905ull},
+         {0xe2ba46649bbd485dull, 0x5029ccfe47550808ull}},
+    };
+    const sim::NoiseModel models[2] = {device::ibmCasablanca().noise,
+                                       device::aqtDevice().noise};
+    struct Mode
+    {
+        const char *name;
+        std::size_t jobs;
+        std::size_t threshold;
+        bool force;
+        kernels::SimdMode simd;
+    };
+    std::vector<Mode> modes = {
+        {"scalar", 1, std::size_t{1} << 16, false, kernels::SimdMode::Scalar},
+        {"forced-parallel", 4, 1, true, kernels::SimdMode::Auto},
+    };
+    if (kernels::avx2Supported())
+        modes.push_back(
+            {"avx2", 1, std::size_t{1} << 16, false, kernels::SimdMode::Avx2});
+    for (const Mode &mode : modes) {
+        kernels::KernelConfigGuard guard;
+        kernels::setKernelJobs(mode.jobs);
+        kernels::setKernelThreshold(mode.threshold);
+        kernels::setForceParallel(mode.force);
+        kernels::setSimdMode(mode.simd);
+        SCOPED_TRACE(mode.name);
+        for (const Pinned &p : pinned) {
+            const qc::Circuit c = noisyStepCircuit(p.n, 100 + p.n);
+            for (std::size_t m = 0; m < 2; ++m) {
+                SCOPED_TRACE("width " + std::to_string(p.n) + " model " +
+                             std::to_string(m));
+                for (bool fold : {false, true}) {
+                    EXPECT_EQ(rhoHash(runNoisySteps(c, models[m], fold)),
+                              p.rho[m])
+                        << (fold ? "folded" : "unfolded");
+                }
+                const std::string text = hexDistribution(c, models[m]);
+                EXPECT_EQ(fnv1a(text.data(), text.size()), p.dist[m]);
+            }
+        }
     }
 }
 

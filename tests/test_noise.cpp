@@ -191,6 +191,23 @@ TEST(DensityMatrix, DephasingKillsCoherences)
     EXPECT_NEAR(dm.probabilities()[0], 0.5, 1e-10);
 }
 
+TEST(DensityMatrix, TwoQubitChannelsRejectADuplicateQubit)
+{
+    // A block of rows (q, q) aliases itself: the trace left 1.0 on
+    // H (x) 3 before the operands were checked to differ.
+    DensityMatrix dm(3);
+    for (qc::Qubit q = 0; q < 3; ++q)
+        dm.applyGate(qc::Gate(qc::GateType::H, {q}));
+    EXPECT_THROW(dm.depolarize2(1, 1, 0.3), std::invalid_argument);
+    EXPECT_THROW(dm.applyMatrix2(2, 2, gateMatrix2(qc::Gate(
+                                            qc::GateType::CX, {0, 1}))),
+                 std::invalid_argument);
+    EXPECT_THROW(dm.applyGate(qc::Gate(qc::GateType::CCX, {0, 1, 2}), 0.1),
+                 std::invalid_argument);
+    EXPECT_NEAR(dm.trace(), 1.0, 1e-12);
+    EXPECT_NEAR(dm.purity(), 1.0, 1e-12);
+}
+
 TEST(NoisyDistribution, MatchesTrajectoriesOnBellCircuit)
 {
     qc::Circuit c(2, 2);
